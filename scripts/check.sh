@@ -36,6 +36,10 @@
 #      in both JSON and Prometheus text exposition
 #   7d. bench_check.py synthetic smoke: a fabricated regression must exit
 #      nonzero, the clean case zero (the --check watchdog's own test)
+#   7e. perfbench smoke (python3 perfbench/test_perfbench.py): builds the
+#      served-query benchmark, runs every workload at quick size untraced
+#      and traced (every answer checked against the brute-force oracle,
+#      fidelity checks on), and requires --corrupt-expected to fail
 #   8. disabled-tracing overhead guard: micro_engine's instrumented plan
 #      IR (spans compiled in, recorder off) must average <= 5% over the
 #      uninstrumented fused baseline
@@ -522,6 +526,13 @@ assert run("clean") == 0, "bench_check failed the in-band case"
 assert run("bad") != 0, "bench_check passed a 2x regression"
 print("watchdog self-test OK: clean -> 0, regression -> nonzero")
 PY
+
+# 7e. Served-query benchmark smoke: every workload at quick size in both
+#     modes, compared with the brute-force oracle, plus the oracle's own
+#     self-test (a corrupted expected answer must fail the run). Builds
+#     into $CARGO_TARGET_DIR/perfbench (default .bench_build/perfbench).
+say "perfbench: quick runs of every workload + oracle self-test"
+python3 perfbench/test_perfbench.py
 
 # 8. Overhead guard: with the recorder off, the compiled-in span
 #    instrumentation must cost <= 5% on average over the uninstrumented

@@ -441,12 +441,10 @@ void CheckCostModel(const hw::SystemProfile& profile,
   gpu_config.r_location = cpu;
   gpu_config.s_location = cpu;
   gpu_config.hash_table = join::HashTablePlacement::Single(gpu);
-  const bool coherent =
-      topo.IsCacheCoherentPath(gpu, cpu).value_or(false);
-  gpu_config.method = coherent ? transfer::TransferMethod::kCoherence
-                               : transfer::TransferMethod::kZeroCopy;
-  gpu_config.relation_memory = coherent ? memory::MemoryKind::kPageable
-                                        : memory::MemoryKind::kPinned;
+  gpu_config.method = transfer::PullMethodFor(topo, gpu, cpu)
+                          .value_or(transfer::TransferMethod::kZeroCopy);
+  gpu_config.relation_memory =
+      transfer::TraitsOf(gpu_config.method).required_memory;
 
   Seconds prev_cpu;
   Seconds prev_gpu;

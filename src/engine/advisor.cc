@@ -106,15 +106,11 @@ Result<PlanChoice> Advisor::Recommend(const QueryStats& stats,
     const auto device = static_cast<hw::DeviceId>(d);
     const bool is_gpu =
         topo.device(device).kind == hw::DeviceKind::kGpu;
-    // CPUs pull directly; GPUs use Coherence on coherent paths and
-    // Zero-Copy elsewhere (the paper's per-system defaults, Sec. 7.1).
+    // CPUs pull directly; GPUs use the shared pull-method rule.
     transfer::TransferMethod method = transfer::TransferMethod::kCoherence;
     if (is_gpu) {
       PUMP_ASSIGN_OR_RETURN(
-          const bool coherent,
-          topo.IsCacheCoherentPath(device, data_location));
-      method = coherent ? transfer::TransferMethod::kCoherence
-                        : transfer::TransferMethod::kZeroCopy;
+          method, transfer::PullMethodFor(topo, device, data_location));
     }
     std::vector<join::HashTablePlacement> placements;
     Result<Seconds> predicted =

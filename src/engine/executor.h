@@ -80,6 +80,9 @@ struct PipelineOutcome {
   /// Placement that finally produced the pipeline's result (differs from
   /// planned when the ladder re-placed the pipeline on the CPU).
   std::string placement_used;
+  /// Transfer method a single-GPU probe read its fact columns with
+  /// ("Coherence" | "Zero-Copy"); empty when nothing was pulled.
+  std::string ingest;
   /// Execution attempts (1 clean; 2 when a GPU-side attempt failed and
   /// the pipeline re-ran on the CPU).
   std::size_t attempts = 1;

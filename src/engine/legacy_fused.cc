@@ -129,27 +129,22 @@ Status RunGpuPlan(const Query& query, const ExecOptions& options,
   const Table& fact = *query.fact;
   const std::size_t rows = fact.rows();
 
-  // Transfer every referenced fact column into a device buffer, chunk by
-  // chunk with per-chunk retry (degradation rung 1: retry).
+  // Read every referenced fact column in place over the coherent link,
+  // chunk by chunk with per-chunk retry (degradation rung 1: retry).
   const transfer::TransferFaultOptions fault_options{options.injector,
                                                      options.retry};
-  std::vector<memory::Buffer> device_columns;
   auto transfer_column =
       [&](const std::vector<std::int64_t>* column)
       -> Result<const std::int64_t*> {
-    const std::uint64_t bytes = column->size() * sizeof(std::int64_t);
-    if (bytes == 0) return static_cast<const std::int64_t*>(nullptr);
-    transfer::TransferStats stats;
     PUMP_ASSIGN_OR_RETURN(
-        memory::Buffer dst,
-        transfer::StageToDevice(column->data(), bytes, hw::kGpu0,
-                                options.chunk_bytes, options.os_page_bytes,
-                                fault_options, &stats));
+        const transfer::TransferStats stats,
+        transfer::ExecutePull(transfer::TransferMethod::kCoherence,
+                              column->size() * sizeof(std::int64_t),
+                              hw::kGpu0, options.chunk_bytes, fault_options));
     report->transfer_retries += stats.retries;
     report->faults_injected += stats.faults_injected;
     report->modelled_backoff_s += stats.modelled_backoff_s;
-    device_columns.push_back(std::move(dst));
-    return device_columns.back().as<const std::int64_t>();
+    return column->data();
   };
 
   BoundColumns bound;

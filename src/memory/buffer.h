@@ -58,15 +58,6 @@ class Buffer {
   /// Raw storage (valid for size() bytes); null for an empty buffer.
   std::byte* data() { return storage_.get(); }
   const std::byte* data() const { return storage_.get(); }
-  /// Typed view of the storage.
-  template <typename T>
-  T* as() {
-    return reinterpret_cast<T*>(storage_.get());
-  }
-  template <typename T>
-  const T* as() const {
-    return reinterpret_cast<const T*>(storage_.get());
-  }
 
   /// Total size in bytes.
   std::uint64_t size() const { return size_; }

@@ -190,10 +190,10 @@ Status PlaceByCostModel(const engine::Query& query,
   return Status::OK();
 }
 
-/// Bytes the probe pipeline stages into device memory: one column per
-/// probe operator (measure, filters, probe keys), fact_rows 64-bit values
-/// each. This is also the tuple payload the exchange redistributes.
-std::uint64_t StagedProbeBytes(const PhysicalPlan& plan) {
+/// The tuple payload a sharded plan's exchange redistributes onto its
+/// devices: one column per probe operator (measure, filters, probe
+/// keys), fact_rows 64-bit values each.
+std::uint64_t ExchangedProbeBytes(const PhysicalPlan& plan) {
   return static_cast<std::uint64_t>(plan.probe.ops.size()) *
          plan.shape.fact_rows * sizeof(std::int64_t);
 }
@@ -262,13 +262,13 @@ Status PlaceShards(const CompileOptions& options, std::uint64_t budget,
   DeviceSet chosen = live;
   if (options.policy == PlacementPolicy::kCostModel && live.size() > 1 &&
       plan->probe.placement != PipelinePlacement::kCpu) {
-    const std::uint64_t staged = StagedProbeBytes(*plan);
+    const std::uint64_t exchanged = ExchangedProbeBytes(*plan);
     const double probe_s = std::max(plan->probe.modelled_cost_s, 1e-9);
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t n = 1; n <= live.size(); ++n) {
       DeviceSet prefix(live.begin(), live.begin() + n);
       PUMP_ASSIGN_OR_RETURN(ExchangeStage exchange,
-                            PlanExchange(topo, prefix, staged));
+                            PlanExchange(topo, prefix, exchanged));
       const double score =
           probe_s / static_cast<double>(n) + exchange.modelled_cost_s;
       if (score < best) {
@@ -286,6 +286,9 @@ Status PlaceShards(const CompileOptions& options, std::uint64_t budget,
   plan->shard.devices = chosen;
   if (plan->probe.placement != PipelinePlacement::kCpu) {
     plan->probe.device_set = chosen;
+    PUMP_ASSIGN_OR_RETURN(
+        plan->probe.ingest,
+        transfer::PullMethodFor(topo, chosen.front(), hw::kCpu0));
   }
   for (BuildPipeline& build : plan->builds) {
     if (build.placement != PipelinePlacement::kCpu) {
@@ -294,7 +297,8 @@ Status PlaceShards(const CompileOptions& options, std::uint64_t budget,
   }
   if (plan->probe.placement != PipelinePlacement::kCpu) {
     PUMP_ASSIGN_OR_RETURN(
-        plan->exchange, PlanExchange(topo, chosen, StagedProbeBytes(*plan)));
+        plan->exchange,
+        PlanExchange(topo, chosen, ExchangedProbeBytes(*plan)));
     if (plan->shard.active()) {
       if (!plan->rationale.empty()) plan->rationale += "; ";
       plan->rationale += "sharded across " +
@@ -474,23 +478,6 @@ Result<ExchangeStage> PlanExchange(const hw::Topology& topology,
   return stage;
 }
 
-std::uint64_t EstimatedGpuFootprintBytes(const PhysicalPlan& plan) {
-  std::uint64_t bytes = 0;
-  for (const BuildPipeline& build : plan.builds) {
-    if (build.placement != PipelinePlacement::kCpu) {
-      bytes += build.table_bytes;
-    }
-  }
-  if (plan.probe.placement != PipelinePlacement::kCpu) {
-    // GPU/heterogeneous probes stage one device buffer per probe
-    // operator column (measure, filters, probe keys), each fact_rows
-    // 64-bit values — the same staging the plan executor performs.
-    bytes += static_cast<std::uint64_t>(plan.probe.ops.size()) *
-             plan.shape.fact_rows * sizeof(std::int64_t);
-  }
-  return bytes;
-}
-
 std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
     const PhysicalPlan& plan) {
   std::map<hw::DeviceId, std::uint64_t> per_device;
@@ -515,12 +502,20 @@ std::map<hw::DeviceId, std::uint64_t> EstimatedGpuFootprintPerDevice(
       split(build.device_set, build.table_bytes);
     }
   }
-  if (plan.probe.placement != PipelinePlacement::kCpu) {
-    split(plan.probe.device_set,
-          static_cast<std::uint64_t>(plan.probe.ops.size()) *
-              plan.shape.fact_rows * sizeof(std::int64_t));
+  // A single-GPU probe reads the fact columns in place; only a sharded
+  // plan's exchange partitions land on its devices.
+  if (plan.shard.active()) {
+    split(plan.probe.device_set, ExchangedProbeBytes(plan));
   }
   return per_device;
+}
+
+std::uint64_t EstimatedGpuFootprintBytes(const PhysicalPlan& plan) {
+  std::uint64_t bytes = 0;
+  for (const auto& [device, share] : EstimatedGpuFootprintPerDevice(plan)) {
+    bytes += share;
+  }
+  return bytes;
 }
 
 Status ValidatePlan(const PhysicalPlan& plan) {

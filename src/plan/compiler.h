@@ -82,15 +82,16 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
 Status ValidatePlan(const PhysicalPlan& plan);
 
 /// Modelled GPU bytes `plan` occupies while executing as placed:
-/// GPU-resident hash tables plus the staged fact columns of a GPU or
-/// heterogeneous probe. A CPU-only plan is 0. The server's admission
+/// GPU-resident hash tables, plus the exchanged fact columns of a
+/// sharded probe (a single-GPU probe reads them in place). A CPU-only
+/// plan is 0. The server's admission
 /// controller uses this as the query's resource token and feeds the
 /// concurrent total back through
 /// CompileOptions::gpu_budget_in_use_bytes.
 std::uint64_t EstimatedGpuFootprintBytes(const PhysicalPlan& plan);
 
 /// The same footprint split per device: a sharded plan divides its hash
-/// tables and staged columns evenly across the shard devices; a
+/// tables and exchanged columns evenly across the shard devices; a
 /// single-device plan charges everything to its one device. Empty for a
 /// CPU-only plan. The per-device sums always add up to
 /// EstimatedGpuFootprintBytes.

@@ -86,6 +86,10 @@ std::string ToJson(const PhysicalPlan& plan, const std::string& query_name) {
       << ",\"placement\":\"" << ToString(plan.probe.placement) << "\""
       << ",\"device_set\":";
   AppendDeviceSet(plan.probe.device_set, &out);
+  if (plan.probe.placement != PipelinePlacement::kCpu) {
+    out << ",\"ingest\":\""
+        << transfer::TransferMethodToString(plan.probe.ingest) << "\"";
+  }
   out << ",\"modelled_cost_s\":" << plan.probe.modelled_cost_s
       << ",\"operators\":[";
   for (std::size_t i = 0; i < plan.probe.ops.size(); ++i) {

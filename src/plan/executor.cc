@@ -222,37 +222,28 @@ Result<TableHandles> RunBuildPipelines(
   return tables;
 }
 
-/// CPU probe pipeline: morsel-parallel with hierarchical work stealing,
-/// identical to the reference executor's host plan. Workers poll the
-/// cancel token before every morsel claim, so a cancelled query stops
-/// within one morsel per worker and the call returns the token's status.
-Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
-                                        const engine::ExecOptions& options,
-                                        const TableHandles& tables) {
-  const engine::Table& fact = *plan.query->fact;
-  auto source = [&fact](const std::string& name)
-      -> Result<const std::int64_t*> {
-    PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
-    return column->data();
-  };
-  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
-
+/// Morsel-parallel probe of `tuples` positions with hierarchical work
+/// stealing; `process(begin, end, &rows, &sum)` runs one claimed morsel
+/// and the per-worker partials add into `total_rows`/`total_sum`.
+/// Workers poll the cancel token before every morsel claim, so a
+/// cancelled query stops within one morsel per worker (an already-expired
+/// one claims none) and the call returns the token's status.
+template <typename Process>
+Status ProbeMorsels(std::size_t tuples, std::size_t probes,
+                    const engine::ExecOptions& options,
+                    std::atomic<std::uint64_t>* total_rows,
+                    std::atomic<std::int64_t>* total_sum,
+                    const Process& process) {
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
   const CancelToken* cancel = options.cancel;
-  exec::WorkStealingDispatcher dispatcher(fact.rows(),
-                                          options.morsel_tuples, workers);
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
+  exec::WorkStealingDispatcher dispatcher(tuples, options.morsel_tuples,
+                                          workers);
   exec::ParallelFor(workers, [&](std::size_t w) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.probe",
-                    static_cast<double>(w),
-                    static_cast<double>(bound.probes.size()));
+                    static_cast<double>(w), static_cast<double>(probes));
     std::uint64_t rows = 0;
     std::int64_t sum = 0;
     std::uint64_t claimed = 0;
-    // Cancel poll precedes the claim: a worker observing the token fired
-    // exits without touching the dispatcher, so an already-expired query
-    // claims zero morsels and a mid-flight one at most one per worker.
     while (!(cancel != nullptr && cancel->Cancelled())) {
       auto morsel = dispatcher.Next(w);
       if (!morsel) break;
@@ -261,21 +252,38 @@ Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
                       static_cast<double>(morsel->size()));
       ++claimed;
       Counters().morsel_tuples.Record(morsel->size());
-      ProcessRange(bound, morsel->begin, morsel->end, &rows, &sum);
+      process(morsel->begin, morsel->end, &rows, &sum);
     }
     Counters().morsels.Add(claimed);
-    total_rows.fetch_add(rows, std::memory_order_relaxed);
-    total_sum.fetch_add(sum, std::memory_order_relaxed);
+    total_rows->fetch_add(rows, std::memory_order_relaxed);
+    total_sum->fetch_add(sum, std::memory_order_relaxed);
   });
-  if (cancel != nullptr) PUMP_RETURN_NOT_OK(cancel->ToStatus());
+  return cancel != nullptr ? cancel->ToStatus() : Status::OK();
+}
+
+/// CPU probe pipeline: morsel-parallel over the host columns, identical
+/// to the reference executor's host plan.
+Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
+                                        const engine::ExecOptions& options,
+                                        const TableHandles& tables) {
+  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables));
+  std::atomic<std::uint64_t> total_rows{0};
+  std::atomic<std::int64_t> total_sum{0};
+  PUMP_RETURN_NOT_OK(ProbeMorsels(
+      plan.query->fact->rows(), bound.probes.size(), options, &total_rows, &total_sum,
+      [&bound](std::size_t begin, std::size_t end, std::uint64_t* rows,
+               std::int64_t* sum) {
+        ProcessRange(bound, begin, end, rows, sum);
+      }));
   return engine::QueryResult{total_rows.load(), total_sum.load()};
 }
 
-/// GPU / heterogeneous probe pipeline: fact columns staged chunk-wise
-/// with per-chunk retry (rung 1), then the morsel scheduler drives a GPU
-/// proxy group — plus the CPU worker group for heterogeneous placements
-/// — with group failover. Any error is an unrecoverable pipeline fault
-/// the caller re-places on the CPU.
+/// GPU / heterogeneous probe pipeline: the GPU reads each fact column in
+/// place through the plan's pull method, chunk-wise with per-chunk retry
+/// (rung 1), then the morsel scheduler drives a GPU proxy group — plus
+/// the CPU worker group for heterogeneous placements — with group
+/// failover. Any error is an unrecoverable pipeline fault the caller
+/// re-places on the CPU.
 Status RunProbeGpu(const PhysicalPlan& plan,
                    const engine::ExecOptions& options,
                    const TableHandles& tables,
@@ -291,33 +299,29 @@ Status RunProbeGpu(const PhysicalPlan& plan,
 
   const transfer::TransferFaultOptions fault_options{options.injector,
                                                      options.retry};
-  std::vector<memory::Buffer> device_columns;
-  auto source = [&](const std::string& name)
-      -> Result<const std::int64_t*> {
+  const hw::DeviceId gpu = plan.probe.device_set.empty()
+                               ? hw::kGpu0
+                               : plan.probe.device_set.front();
+  probe_row.ingest = transfer::TransferMethodToString(plan.probe.ingest);
+  auto ingest = [&](const std::vector<std::int64_t>& column) -> Status {
     if (options.cancel != nullptr && options.cancel->Cancelled()) {
       return options.cancel->ToStatus();
     }
-    PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
-    const std::uint64_t bytes = column->size() * sizeof(std::int64_t);
-    if (bytes == 0) return static_cast<const std::int64_t*>(nullptr);
-    PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "stage.column",
-                    static_cast<double>(bytes),
-                    static_cast<double>(hw::kGpu0));
-    transfer::TransferStats stats;
+    const std::uint64_t bytes = column.size() * sizeof(std::int64_t);
+    PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "ingest.column",
+                    static_cast<double>(bytes), static_cast<double>(gpu));
     PUMP_ASSIGN_OR_RETURN(
-        memory::Buffer device,
-        transfer::StageToDevice(column->data(), bytes, hw::kGpu0,
-                                options.chunk_bytes, options.os_page_bytes,
-                                fault_options, &stats));
+        const transfer::TransferStats stats,
+        transfer::ExecutePull(plan.probe.ingest, bytes, gpu,
+                              options.chunk_bytes, fault_options));
     report->transfer_retries += stats.retries;
     report->faults_injected += stats.faults_injected;
     report->modelled_backoff_s += stats.modelled_backoff_s;
     probe_row.retries += stats.retries;
     probe_row.faults_injected += stats.faults_injected;
-    device_columns.push_back(std::move(device));
-    return device_columns.back().as<const std::int64_t>();
+    return Status::OK();
   };
-  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
+  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, ingest));
 
   std::atomic<std::uint64_t> total_rows{0};
   std::atomic<std::int64_t> total_sum{0};
@@ -405,12 +409,7 @@ Status RunProbeSharded(const PhysicalPlan& plan,
 
   // Functional execution stays on host columns; the device side of the
   // plan (allocations, exchange transfers) is modelled, as everywhere.
-  auto source = [&fact](const std::string& name)
-      -> Result<const std::int64_t*> {
-    PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
-    return column->data();
-  };
-  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, source));
+  PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables));
 
   // Partition: shard `dst` owns tuple i when its first probe key hashes
   // to dst (a join-free plan owns contiguous row ranges instead, and
@@ -544,11 +543,9 @@ Status RunProbeSharded(const PhysicalPlan& plan,
 
   // Probe the shards: each runs morsel-parallel over its own partition
   // (a degraded shard runs the identical host loop, only its modelled
-  // placement changed). Workers poll the cancel token per morsel claim.
+  // placement changed).
   std::atomic<std::uint64_t> total_rows{0};
   std::atomic<std::int64_t> total_sum{0};
-  const std::size_t workers = std::max<std::size_t>(1, options.workers);
-  const CancelToken* cancel = options.cancel;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::vector<std::uint32_t>& indices = shard_indices[s];
     engine::PipelineOutcome shard_row;
@@ -568,29 +565,17 @@ Status RunProbeSharded(const PhysicalPlan& plan,
     PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "shard.probe",
                     static_cast<double>(s),
                     static_cast<double>(indices.size()));
-    exec::WorkStealingDispatcher dispatcher(indices.size(),
-                                            options.morsel_tuples, workers);
-    exec::ParallelFor(workers, [&](std::size_t w) {
-      std::uint64_t shard_rows = 0;
-      std::int64_t shard_sum = 0;
-      std::uint64_t claimed = 0;
-      while (!(cancel != nullptr && cancel->Cancelled())) {
-        auto morsel = dispatcher.Next(w);
-        if (!morsel) break;
-        ++claimed;
-        Counters().morsel_tuples.Record(morsel->size());
-        ProcessIndices(bound, indices.data() + morsel->begin,
-                       morsel->size(), &shard_rows, &shard_sum);
-      }
-      Counters().morsels.Add(claimed);
-      total_rows.fetch_add(shard_rows, std::memory_order_relaxed);
-      total_sum.fetch_add(shard_sum, std::memory_order_relaxed);
-    });
+    const Status probed = ProbeMorsels(
+        indices.size(), bound.probes.size(), options, &total_rows,
+        &total_sum,
+        [&](std::size_t begin, std::size_t end, std::uint64_t* rows,
+            std::int64_t* sum) {
+          ProcessIndices(bound, indices.data() + begin, end - begin, rows,
+                         sum);
+        });
     shard_row.measured_s = SecondsSince(shard_start);
     report->shards.push_back(std::move(shard_row));
-    if (cancel != nullptr && cancel->Cancelled()) {
-      return cancel->ToStatus();
-    }
+    PUMP_RETURN_NOT_OK(probed);
   }
   probe_row.retries = report->shards.front().retries;
   probe_row.faults_injected = report->shards.front().faults_injected;
@@ -691,22 +676,9 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
     report.dim_tables_built = built;
     report.dim_tables_reused = tables.size();
     Counters().dim_tables_reused.Add(tables.size());
-    report.degraded = true;
-    report.degradation_reason =
-        "probe pipeline failed on GPU (" + gpu_status.ToString() +
-        "); fell back to CPU plan, reusing " +
-        std::to_string(tables.size()) + " cached build pipelines";
-    const auto cpu_start = Clock::now();
-    {
-      PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "pipeline.probe",
-                      /*arg0=*/0.0,
-                      static_cast<double>(plan.shape.fact_rows));
-      PUMP_ASSIGN_OR_RETURN(report.result,
-                            RunProbeCpu(plan, options, tables));
-    }
-    ChargePipelineTime(&report.pipelines.back(), SecondsSince(cpu_start));
-    report.used_gpu = false;
-    return report;
+    reasons = {"probe pipeline failed on GPU (" + gpu_status.ToString() +
+               "); fell back to CPU plan, reusing " +
+               std::to_string(tables.size()) + " cached build pipelines"};
   }
 
   const auto cpu_start = Clock::now();

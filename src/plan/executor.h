@@ -16,8 +16,9 @@ namespace pump::plan {
 ///    device placement (plan.pipeline failpoint, or hybrid allocation
 ///    failure) is re-placed on the CPU; a partial device allocation
 ///    spills (rung 2) and is reported via hybrid_gpu_fraction.
-///  * A GPU/heterogeneous probe pipeline stages the fact columns chunk-
-///    wise with per-chunk retry (rung 1) and schedules CPU+GPU groups
+///  * A GPU/heterogeneous probe pipeline reads the fact columns in place
+///    through its pull method, chunk-wise with per-chunk retry (rung 1;
+///    only a sharded plan's exchange stages), and schedules CPU+GPU groups
 ///    with failover; on an unrecoverable fault it is re-placed on the
 ///    CPU (rung 3), probing the cached tables.
 ///

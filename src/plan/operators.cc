@@ -47,10 +47,16 @@ Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build) {
 Result<BoundProbe> BindProbe(
     const PhysicalPlan& plan,
     const std::vector<std::shared_ptr<const DimensionTable>>& tables,
-    const ColumnSource& source) {
+    const ColumnHook& on_column) {
+  const engine::Table& fact = *plan.query->fact;
+  auto source = [&](const std::string& name) -> Result<const std::int64_t*> {
+    PUMP_ASSIGN_OR_RETURN(const auto* column, fact.Column(name));
+    if (on_column) PUMP_RETURN_NOT_OK(on_column(*column));
+    return column->data();
+  };
   BoundProbe bound;
   // Fixed binding order (measure, filters, probe keys): for GPU
-  // placements the source stages columns, and this order keeps the
+  // placements the hook ingests columns, and this order keeps the
   // transfer-chunk fault stream aligned with the reference executor.
   for (const Operator& op : plan.probe.ops) {
     if (op.kind != OpKind::kAggregate) continue;

@@ -66,32 +66,32 @@ struct BoundProbeStep {
 };
 
 /// The probe pipeline with every column resolved — no name lookups in
-/// the hot loop. Column pointers reference either the fact table's
-/// columns (CPU placements) or transferred device buffers (GPU
-/// placements); ProcessRange is identical for both, which is what makes
-/// the placements bit-compatible.
+/// the hot loop. Column pointers reference the fact table's host columns
+/// on every placement (a GPU-side probe reads them in place), so
+/// ProcessRange is identical for all of them, which is what makes the
+/// placements bit-compatible.
 struct BoundProbe {
   const std::int64_t* measure = nullptr;
   std::vector<BoundFilter> filters;
   std::vector<BoundProbeStep> probes;
 };
 
-/// Maps a fact column name to the pointer the pipeline reads. GPU
-/// placements stage the column into a device buffer here; a null pointer
-/// is only valid for an empty fact table.
-using ColumnSource =
-    std::function<Result<const std::int64_t*>(const std::string&)>;
+/// Called once per bound fact column, in binding order, before the
+/// pipeline reads it; GPU placements ingest the column over the
+/// interconnect here. An error aborts the bind.
+using ColumnHook = std::function<Status(const std::vector<std::int64_t>&)>;
 
-/// Resolves `plan`'s probe pipeline against `tables` (one per build
-/// pipeline, in order) and `source`. Columns are resolved in the fixed
-/// order measure, filters, probe keys, so GPU staging traffic matches
-/// the reference executor chunk for chunk. Tables are shared handles so
-/// a probe can reference cache-resident builds owned jointly with other
-/// queries (plan/build_cache.h); the bound pipeline keeps them alive.
+/// Resolves `plan`'s probe pipeline against the query's fact table and
+/// `tables` (one per build pipeline, in order). Columns are resolved in
+/// the fixed order measure, filters, probe keys, so GPU ingest traffic
+/// matches the reference executor chunk for chunk. Tables are shared
+/// handles so a probe can reference cache-resident builds owned jointly
+/// with other queries (plan/build_cache.h); the bound pipeline keeps them
+/// alive.
 Result<BoundProbe> BindProbe(
     const PhysicalPlan& plan,
     const std::vector<std::shared_ptr<const DimensionTable>>& tables,
-    const ColumnSource& source);
+    const ColumnHook& on_column = {});
 
 /// Executes the bound pipeline over fact tuples [begin, end): filter
 /// operators in order with early exit, semi-join probes in order, then

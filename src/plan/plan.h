@@ -9,6 +9,7 @@
 #include "engine/table.h"
 #include "hw/device.h"
 #include "ops/scan.h"
+#include "transfer/method.h"
 
 namespace pump::hw {
 struct SystemProfile;
@@ -17,9 +18,10 @@ struct SystemProfile;
 namespace pump::plan {
 
 /// Where a pipeline executes. Placements are modelled (the GPU is
-/// simulated): kGpu transfers the referenced fact columns into device
-/// buffers and drives a GPU proxy scheduler group; kHeterogeneous adds
-/// the CPU worker group next to the GPU proxy (the paper's Sec. 6.1
+/// simulated): kGpu reads the referenced fact columns in place through
+/// the probe's pull method (only a sharded plan's exchange stages bytes
+/// onto devices) and drives a GPU proxy scheduler group; kHeterogeneous
+/// adds the CPU worker group next to the GPU proxy (the paper's Sec. 6.1
 /// scheme); kCpu runs the plain host morsel loop.
 enum class PipelinePlacement : std::uint8_t { kCpu, kGpu, kHeterogeneous };
 
@@ -147,6 +149,9 @@ struct ProbePipeline {
   DeviceSet device_set;
   /// Modelled probe-pipeline time (seconds); 0 when no cost model ran.
   double modelled_cost_s = 0.0;
+  /// How a GPU-side probe reads the CPU-resident fact columns
+  /// (transfer::PullMethodFor on its first device); unused on the CPU.
+  transfer::TransferMethod ingest = transfer::TransferMethod::kCoherence;
 };
 
 /// The query shape attached to every compile-time diagnostic, so a

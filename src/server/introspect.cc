@@ -20,6 +20,7 @@ void AppendPipelineRows(
         << bench::JsonEscape(row.kind) << "\",\"placement_planned\":\""
         << bench::JsonEscape(row.placement_planned)
         << "\",\"placement_used\":\"" << bench::JsonEscape(row.placement_used)
+        << "\",\"ingest\":\"" << bench::JsonEscape(row.ingest)
         << "\",\"attempts\":" << row.attempts
         << ",\"retries\":" << row.retries
         << ",\"faults_injected\":" << row.faults_injected

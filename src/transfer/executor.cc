@@ -13,10 +13,6 @@ namespace pump::transfer {
 
 namespace {
 
-bool IsPush(TransferMethod method) {
-  return TraitsOf(method).semantics == Semantics::kPush;
-}
-
 struct TransferMetrics {
   obs::Counter& chunks;
   obs::Counter& bytes;
@@ -40,64 +36,97 @@ TransferMetrics& Metrics() {
   return metrics;
 }
 
-/// Runs one chunk's `work` under the fault options: checks the
-/// `link.degrade` failpoint (observability only), then retries the
-/// `transfer.chunk` (and, for UM methods, `um.migrate`) failpoints plus
-/// `work` per the policy. `work` only runs on attempts whose injected
-/// checks pass, so a retried chunk is re-executed from scratch.
-/// `len`/`node` only feed the chunk's trace span and registry metrics
-/// (bytes moved, modelled destination node).
-Status RunChunk(const TransferFaultOptions& faults, bool um_site,
-                std::uint64_t offset, std::uint64_t len,
-                hw::MemoryNodeId node, TransferStats* stats,
-                const std::function<Status()>& work) {
-  PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "transfer.chunk",
-                  static_cast<double>(len), static_cast<double>(node));
-  Metrics().chunks.Add();
-  Metrics().bytes.Add(len);
-  Metrics().chunk_bytes.Record(len);
-  if (faults.injector == nullptr) return work();
-  if (!faults.injector->Check(fault::kLinkDegrade).ok()) {
-    ++stats->degraded_chunks;
-    Metrics().degraded_chunks.Add();
+/// The one chunk loop of the transfer layer: walks `bytes` in
+/// `chunk_bytes` steps. Per chunk it checks the `link.degrade` failpoint
+/// (observability only), then retries the `transfer.chunk` (and, at UM
+/// sites, `um.migrate`) failpoints plus `work(offset, len)` per the
+/// policy — `work` only runs on attempts whose injected checks pass, so a
+/// retried chunk is re-executed from scratch — and finally hands the
+/// landed chunk to `on_chunk`. `node` feeds the spans and metrics.
+Status ForEachChunk(
+    std::uint64_t bytes, std::uint64_t chunk_bytes, bool um_site,
+    hw::MemoryNodeId node, const TransferFaultOptions& faults,
+    TransferStats* stats,
+    const std::function<Status(std::uint64_t, std::uint64_t)>& work,
+    const ChunkCallback& on_chunk) {
+  for (std::uint64_t offset = 0; offset < bytes; offset += chunk_bytes) {
+    const std::uint64_t len = std::min(chunk_bytes, bytes - offset);
+    PUMP_TRACE_SPAN(obs::TraceCategory::kTransfer, "transfer.chunk",
+                    static_cast<double>(len), static_cast<double>(node));
+    Metrics().chunks.Add();
+    Metrics().bytes.Add(len);
+    Metrics().chunk_bytes.Record(len);
+    Status status = Status::OK();
+    if (faults.injector == nullptr) {
+      status = work(offset, len);
+    } else {
+      if (!faults.injector->Check(fault::kLinkDegrade).ok()) {
+        ++stats->degraded_chunks;
+        Metrics().degraded_chunks.Add();
+      }
+      fault::RetryStats retry_stats;
+      status = fault::RunWithRetry(
+          faults.retry,
+          [&]() -> Status {
+            Status injected = faults.injector->Check(fault::kTransferChunk);
+            if (injected.ok() && um_site) {
+              injected = faults.injector->Check(fault::kUmMigrate);
+            }
+            if (!injected.ok()) {
+              ++stats->faults_injected;
+              Metrics().faults_injected.Add();
+              return injected;
+            }
+            return work(offset, len);
+          },
+          &retry_stats);
+      stats->retries += retry_stats.retries;
+      Metrics().retries.Add(retry_stats.retries);
+      stats->modelled_backoff_s += retry_stats.backoff_s;
+      if (status.code() == StatusCode::kUnavailable) {
+        return Status::Unavailable("transfer chunk at offset " +
+                                   std::to_string(offset) + " failed after " +
+                                   std::to_string(retry_stats.attempts) +
+                                   " attempts: " + status.message());
+      }
+    }
+    PUMP_RETURN_NOT_OK(status);
+    ++stats->chunks;
+    if (on_chunk) on_chunk(offset, len);
   }
-  fault::RetryStats retry_stats;
-  const Status status = fault::RunWithRetry(
-      faults.retry,
-      [&]() -> Status {
-        Status injected = faults.injector->Check(fault::kTransferChunk);
-        if (injected.ok() && um_site) {
-          injected = faults.injector->Check(fault::kUmMigrate);
-        }
-        if (!injected.ok()) {
-          ++stats->faults_injected;
-          Metrics().faults_injected.Add();
-          return injected;
-        }
-        return work();
-      },
-      &retry_stats);
-  stats->retries += retry_stats.retries;
-  Metrics().retries.Add(retry_stats.retries);
-  stats->modelled_backoff_s += retry_stats.backoff_s;
-  if (status.ok()) return status;
-  if (status.code() == StatusCode::kUnavailable) {
-    return Status::Unavailable("transfer chunk at offset " +
-                               std::to_string(offset) + " failed after " +
-                               std::to_string(retry_stats.attempts) +
-                               " attempts: " + status.message());
-  }
-  return status;
+  return Status::OK();
 }
 
 }  // namespace
+
+Result<TransferStats> ExecutePull(
+    TransferMethod method, std::uint64_t bytes, hw::MemoryNodeId gpu_node,
+    std::uint64_t chunk_bytes, const TransferFaultOptions& faults,
+    const ChunkCallback& on_chunk) {
+  if (method != TransferMethod::kZeroCopy &&
+      method != TransferMethod::kCoherence) {
+    return Status::InvalidArgument(
+        std::string(TransferMethodToString(method)) +
+        " is not a direct-access pull method");
+  }
+  if (chunk_bytes == 0) {
+    return Status::InvalidArgument("chunk size must be positive");
+  }
+  // No bytes land in GPU memory, but each chunk of reads crosses the
+  // interconnect, so a dropped read burst is retried like a copy.
+  TransferStats stats;
+  stats.direct_access = true;
+  PUMP_RETURN_NOT_OK(ForEachChunk(
+      bytes, chunk_bytes, /*um_site=*/false, gpu_node, faults, &stats,
+      [](std::uint64_t, std::uint64_t) { return Status::OK(); }, on_chunk));
+  return stats;
+}
 
 Result<TransferStats> ExecuteTransfer(
     TransferMethod method, const memory::Buffer& src, memory::Buffer* dst,
     hw::MemoryNodeId gpu_node, std::uint64_t chunk_bytes,
     std::uint64_t os_page_bytes, memory::UnifiedRegion* um_region,
-    const std::function<void(std::uint64_t, std::uint64_t)>& on_chunk,
-    const TransferFaultOptions& faults) {
+    const ChunkCallback& on_chunk, const TransferFaultOptions& faults) {
   if (!src.materialized()) {
     return Status::InvalidArgument("source buffer is not materialized");
   }
@@ -106,6 +135,12 @@ Result<TransferStats> ExecuteTransfer(
   }
   if (os_page_bytes == 0) {
     return Status::InvalidArgument("OS page size must be positive");
+  }
+  if (method == TransferMethod::kZeroCopy ||
+      method == TransferMethod::kCoherence) {
+    // Consumers read `src` in place.
+    return ExecutePull(method, src.size(), gpu_node, chunk_bytes, faults,
+                       on_chunk);
   }
   const bool uses_um = method == TransferMethod::kUmPrefetch ||
                        method == TransferMethod::kUmMigration;
@@ -117,34 +152,26 @@ Result<TransferStats> ExecuteTransfer(
     return Status::InvalidArgument("UnifiedRegion size mismatch");
   }
 
-  TransferStats stats;
-
-  if (!IsPush(method) && method != TransferMethod::kUmMigration) {
-    // Zero-Copy / Coherence: the GPU dereferences CPU memory directly; no
-    // bytes land in GPU memory. Consumers read `src` in place. Each chunk
-    // of reads still crosses the interconnect, so the chunk failpoint
-    // applies (a dropped read burst is retried transparently).
-    stats.direct_access = true;
-    for (std::uint64_t offset = 0; offset < src.size();
-         offset += chunk_bytes) {
-      const std::uint64_t len = std::min(chunk_bytes, src.size() - offset);
-      PUMP_RETURN_NOT_OK(RunChunk(faults, /*um_site=*/false, offset, len,
-                                  gpu_node, &stats,
-                                  [] { return Status::OK(); }));
-      ++stats.chunks;
-      if (on_chunk) on_chunk(offset, len);
-    }
-    return stats;
+  // Push-based methods copy into the destination buffer.
+  const bool push = TraitsOf(method).semantics == Semantics::kPush;
+  if (push &&
+      (dst == nullptr || !dst->materialized() || dst->size() < src.size())) {
+    return Status::InvalidArgument(
+        "push-based transfer requires a materialized destination of at "
+        "least the source size");
   }
 
-  if (method == TransferMethod::kUmMigration) {
-    // Demand paging: every touched page migrates to the GPU node.
-    for (std::uint64_t offset = 0; offset < src.size();
-         offset += chunk_bytes) {
-      const std::uint64_t len = std::min(chunk_bytes, src.size() - offset);
-      PUMP_RETURN_NOT_OK(RunChunk(
-          faults, /*um_site=*/true, offset, len, gpu_node, &stats,
-          [&]() -> Status {
+  TransferStats stats;
+  stats.direct_access = !push;
+  std::vector<std::byte> staging;
+  if (method == TransferMethod::kStagedCopy) staging.resize(chunk_bytes);
+
+  PUMP_RETURN_NOT_OK(ForEachChunk(
+      src.size(), chunk_bytes, /*um_site=*/uses_um, gpu_node, faults, &stats,
+      [&](std::uint64_t offset, std::uint64_t len) -> Status {
+        switch (method) {
+          case TransferMethod::kUmMigration:
+            // Demand paging: every touched page migrates to the GPU node.
             for (std::uint64_t page_off = offset; page_off < offset + len;
                  page_off += os_page_bytes) {
               PUMP_ASSIGN_OR_RETURN(bool faulted,
@@ -152,61 +179,34 @@ Result<TransferStats> ExecuteTransfer(
               if (faulted) ++stats.pages_migrated;
             }
             return Status::OK();
-          }));
-      ++stats.chunks;
-      if (on_chunk) on_chunk(offset, len);
-    }
-    stats.direct_access = true;
-    return stats;
-  }
-
-  // Push-based methods copy into the destination buffer.
-  if (dst == nullptr || !dst->materialized() || dst->size() < src.size()) {
-    return Status::InvalidArgument(
-        "push-based transfer requires a materialized destination of at "
-        "least the source size");
-  }
-
-  std::vector<std::byte> staging;
-  if (method == TransferMethod::kStagedCopy) staging.resize(chunk_bytes);
-
-  for (std::uint64_t offset = 0; offset < src.size(); offset += chunk_bytes) {
-    const std::uint64_t len = std::min(chunk_bytes, src.size() - offset);
-    PUMP_RETURN_NOT_OK(RunChunk(
-        faults, /*um_site=*/method == TransferMethod::kUmPrefetch, offset,
-        len, gpu_node, &stats, [&]() -> Status {
-          switch (method) {
-            case TransferMethod::kStagedCopy:
-              // Extra pass through the pinned staging buffer (Sec. 4.1).
-              std::memcpy(staging.data(), src.data() + offset, len);
-              std::memcpy(dst->data() + offset, staging.data(), len);
-              stats.staged_bytes += len;
-              break;
-            case TransferMethod::kDynamicPinning:
-              stats.pages_pinned += (len + os_page_bytes - 1) / os_page_bytes;
-              std::memcpy(dst->data() + offset, src.data() + offset, len);
-              break;
-            case TransferMethod::kUmPrefetch: {
-              PUMP_ASSIGN_OR_RETURN(std::uint64_t moved,
-                                    um_region->Prefetch(offset, len,
-                                                        gpu_node));
-              stats.pages_migrated += moved;
-              std::memcpy(dst->data() + offset, src.data() + offset, len);
-              break;
-            }
-            case TransferMethod::kPageableCopy:
-            case TransferMethod::kPinnedCopy:
-              std::memcpy(dst->data() + offset, src.data() + offset, len);
-              break;
-            default:
-              return Status::Internal("unexpected push method");
+          case TransferMethod::kStagedCopy:
+            // Extra pass through the pinned staging buffer (Sec. 4.1).
+            std::memcpy(staging.data(), src.data() + offset, len);
+            std::memcpy(dst->data() + offset, staging.data(), len);
+            stats.staged_bytes += len;
+            break;
+          case TransferMethod::kDynamicPinning:
+            stats.pages_pinned += (len + os_page_bytes - 1) / os_page_bytes;
+            std::memcpy(dst->data() + offset, src.data() + offset, len);
+            break;
+          case TransferMethod::kUmPrefetch: {
+            PUMP_ASSIGN_OR_RETURN(std::uint64_t moved,
+                                  um_region->Prefetch(offset, len, gpu_node));
+            stats.pages_migrated += moved;
+            std::memcpy(dst->data() + offset, src.data() + offset, len);
+            break;
           }
-          return Status::OK();
-        }));
-    stats.bytes_copied += len;
-    ++stats.chunks;
-    if (on_chunk) on_chunk(offset, len);
-  }
+          case TransferMethod::kPageableCopy:
+          case TransferMethod::kPinnedCopy:
+            std::memcpy(dst->data() + offset, src.data() + offset, len);
+            break;
+          default:
+            return Status::Internal("unexpected transfer method");
+        }
+        stats.bytes_copied += len;
+        return Status::OK();
+      },
+      on_chunk));
   return stats;
 }
 
@@ -228,15 +228,7 @@ Result<memory::Buffer> StageToDevice(const void* host, std::uint64_t bytes,
       TransferStats transfer_stats,
       ExecuteTransfer(TransferMethod::kPinnedCopy, src, &dst, gpu_node,
                       chunk_bytes, os_page_bytes, nullptr, {}, faults));
-  if (stats != nullptr) {
-    stats->bytes_copied += transfer_stats.bytes_copied;
-    stats->chunks += transfer_stats.chunks;
-    stats->staged_bytes += transfer_stats.staged_bytes;
-    stats->retries += transfer_stats.retries;
-    stats->faults_injected += transfer_stats.faults_injected;
-    stats->degraded_chunks += transfer_stats.degraded_chunks;
-    stats->modelled_backoff_s += transfer_stats.modelled_backoff_s;
-  }
+  if (stats != nullptr) *stats = transfer_stats;
   return dst;
 }
 

@@ -40,6 +40,9 @@ struct TransferStats {
   double modelled_backoff_s = 0.0;
 };
 
+/// Called with (offset, bytes) after each chunk lands.
+using ChunkCallback = std::function<void(std::uint64_t, std::uint64_t)>;
+
 /// Fault handling for a transfer: an optional injector queried at the
 /// `transfer.chunk`, `um.migrate` and `link.degrade` failpoints, and the
 /// retry policy applied per chunk. With a null injector the transfer is
@@ -49,11 +52,21 @@ struct TransferFaultOptions {
   fault::RetryPolicy retry;
 };
 
+/// Pull-based ingest: the GPU on `gpu_node` reads `bytes` of host data in
+/// place with `method` (Zero-Copy or Coherence, else InvalidArgument).
+/// Nothing is allocated or copied, but every chunk still runs the
+/// failpoints, retries and counters of ExecuteTransfer. This is how the
+/// engine's single-GPU probe reads its fact columns.
+Result<TransferStats> ExecutePull(
+    TransferMethod method, std::uint64_t bytes, hw::MemoryNodeId gpu_node,
+    std::uint64_t chunk_bytes, const TransferFaultOptions& faults = {},
+    const ChunkCallback& on_chunk = {});
+
 /// Functionally executes a transfer: moves `src`'s bytes into `dst` (push
-/// methods) or marks direct access (pull methods), chunk by chunk, calling
-/// `on_chunk(offset, bytes)` after each chunk lands — this is where a
-/// pipelined consumer (e.g. a join build) hooks in. Both buffers must be
-/// materialized and the same size for push methods.
+/// methods) or reads them in place (pull methods), chunk by chunk, calling
+/// `on_chunk` after each chunk lands — this is where a pipelined consumer
+/// (e.g. a join build) hooks in. Both buffers must be materialized and
+/// the same size for push methods.
 ///
 /// `um_region` must be non-null for the Unified Memory methods and records
 /// page residency; `gpu_node` is the destination memory node used for the
@@ -69,13 +82,13 @@ Result<TransferStats> ExecuteTransfer(
     TransferMethod method, const memory::Buffer& src, memory::Buffer* dst,
     hw::MemoryNodeId gpu_node, std::uint64_t chunk_bytes,
     std::uint64_t os_page_bytes, memory::UnifiedRegion* um_region = nullptr,
-    const std::function<void(std::uint64_t, std::uint64_t)>& on_chunk = {},
+    const ChunkCallback& on_chunk = {},
     const TransferFaultOptions& faults = {});
 
 /// Stages `bytes` of host data into a device buffer on `gpu_node`: pinned
 /// bounce buffer, then a chunk-wise kPinnedCopy with per-chunk retry —
-/// the shared column-staging path of the engine's GPU-placed pipelines.
-/// Accumulates the transfer counters into `*stats` when non-null. Fails
+/// the engine's mesh exchange, whose partitions land on peer devices.
+/// Stores the transfer counters into `*stats` when non-null. Fails
 /// with InvalidArgument on an empty input (callers skip empty columns).
 Result<memory::Buffer> StageToDevice(const void* host, std::uint64_t bytes,
                                      hw::MemoryNodeId gpu_node,

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 
+#include "hw/topology.h"
 #include "memory/buffer.h"
 
 namespace pump::transfer {
@@ -55,6 +56,19 @@ const MethodTraits& TraitsOf(TransferMethod method);
 /// Returns the Table-1 display name.
 inline const char* TransferMethodToString(TransferMethod method) {
   return TraitsOf(method).name;
+}
+
+/// The pull method device `gpu` reads data on `data_node` with (the
+/// paper's per-system defaults, Sec. 7.1): Coherence on a cache-coherent
+/// path (NVLink 2.0), Zero-Copy otherwise (PCI-e 3.0). The one rule the
+/// advisor, the plan compiler and the model checker share, so the priced
+/// method is the executed one.
+inline Result<TransferMethod> PullMethodFor(const hw::Topology& topology,
+                                            hw::DeviceId gpu,
+                                            hw::MemoryNodeId data_node) {
+  PUMP_ASSIGN_OR_RETURN(const bool coherent,
+                        topology.IsCacheCoherentPath(gpu, data_node));
+  return coherent ? TransferMethod::kCoherence : TransferMethod::kZeroCopy;
 }
 
 }  // namespace pump::transfer

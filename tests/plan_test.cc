@@ -173,6 +173,59 @@ TEST(Q6EquivalenceTest, PlanPathMatchesEveryQ6Kernel) {
 }
 
 // ---------------------------------------------------------------------
+// In-place ingest: a GPU-side probe reads the fact columns through the
+// plan's pull method (Coherence on NVLink 2.0, Zero-Copy on PCI-e) and
+// must equal the CPU-only plan bit for bit, also while transient chunk
+// faults are retried.
+
+TEST_F(GoldenEquivalenceTest, GpuProbeReadsInPlaceAndMatchesCpuPlan) {
+  const Q6PlanInput q6 =
+      Q6PlanInput::From(data::GenerateLineitemQ6(50'000, 7));
+  std::vector<engine::NamedQuery> queries = engine::SsbSuite(*db_);
+  queries.push_back({"tpch-q6", q6.MakeQuery()});
+  const std::pair<hw::SystemProfile, transfer::TransferMethod> kProfiles[] =
+      {{hw::Ac922Profile(), transfer::TransferMethod::kCoherence},
+       {hw::XeonProfile(), transfer::TransferMethod::kZeroCopy}};
+  for (const auto& [profile, method] : kProfiles) {
+    for (const engine::NamedQuery& named : queries) {
+      SCOPED_TRACE(profile.name + " " + named.name);
+      CompileOptions cpu_options;
+      cpu_options.profile = &profile;
+      const auto cpu_plan = Compile(named.query, cpu_options);
+      ASSERT_TRUE(cpu_plan.ok()) << cpu_plan.status();
+      CompileOptions gpu_options = cpu_options;
+      gpu_options.policy = PlacementPolicy::kGpuPreferred;
+      const auto gpu_plan = Compile(named.query, gpu_options);
+      ASSERT_TRUE(gpu_plan.ok()) << gpu_plan.status();
+      ASSERT_NE(gpu_plan.value().probe.placement, PipelinePlacement::kCpu);
+      EXPECT_EQ(gpu_plan.value().probe.ingest, method);
+
+      engine::ExecOptions options;
+      options.workers = 2;
+      options.morsel_tuples = 1'000;
+      const auto reference = ExecutePlan(cpu_plan.value(), options);
+      ASSERT_TRUE(reference.ok()) << reference.status();
+      const auto clean = ExecutePlan(gpu_plan.value(), options);
+      ASSERT_TRUE(clean.ok()) << clean.status();
+      EXPECT_EQ(clean.value().result, reference.value().result);
+      EXPECT_TRUE(clean.value().used_gpu);
+      EXPECT_EQ(clean.value().pipelines.back().ingest,
+                transfer::TransferMethodToString(method));
+
+      fault::FaultInjector injector(61);
+      ArmTransientTransfer(&injector);
+      TuneTransientTransfer(&options);
+      options.injector = &injector;
+      const auto faulty = ExecutePlan(gpu_plan.value(), options);
+      ASSERT_TRUE(faulty.ok()) << faulty.status();
+      EXPECT_EQ(faulty.value().result, reference.value().result);
+      EXPECT_TRUE(faulty.value().used_gpu);
+      EXPECT_GT(faulty.value().transfer_retries, 0u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Compiler: hash-table selection and placements.
 
 class CompilerTest : public ::testing::Test {
@@ -427,6 +480,54 @@ TEST_F(CompilerTest, GpuOomSpillDoesNotDiscardBuilds) {
             engine::Executor::Run(query, 2).value());
 }
 
+TEST_F(CompilerTest, SingleGpuFootprintIsItsGpuPlacedBuildTables) {
+  // A single-GPU probe reads the fact columns in place, so only the
+  // GPU-resident hash tables count against the device budget.
+  CompileOptions options;
+  options.policy = PlacementPolicy::kGpuPreferred;
+  for (const engine::Query* query : {&q1_, &q2_, &q3_}) {
+    const auto plan = Compile(*query, options);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_FALSE(plan.value().shard.active());
+    ASSERT_NE(plan.value().probe.placement, PipelinePlacement::kCpu);
+    std::uint64_t tables = 0;
+    for (const BuildPipeline& build : plan.value().builds) {
+      if (build.placement != PipelinePlacement::kCpu) {
+        tables += build.table_bytes;
+      }
+    }
+    EXPECT_GT(tables, 0u);
+    EXPECT_EQ(EstimatedGpuFootprintBytes(plan.value()), tables);
+    const auto per_device = EstimatedGpuFootprintPerDevice(plan.value());
+    ASSERT_EQ(per_device.size(), 1u);
+    EXPECT_EQ(per_device.begin()->second, tables);
+  }
+}
+
+TEST_F(CompilerTest, ShardedFootprintChargesExchangedColumns) {
+  const hw::SystemProfile ring = hw::NvlinkRingProfile(4);
+  CompileOptions options;
+  options.policy = PlacementPolicy::kGpuPreferred;
+  options.profile = &ring;
+  options.shard_devices = ring.topology.DevicesOfKind(hw::DeviceKind::kGpu);
+  const auto plan = Compile(q1_, options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_TRUE(plan.value().shard.active());
+  std::uint64_t expected = plan.value().probe.ops.size() *
+                           plan.value().shape.fact_rows *
+                           sizeof(std::int64_t);
+  for (const BuildPipeline& build : plan.value().builds) {
+    expected += build.table_bytes;
+  }
+  EXPECT_EQ(EstimatedGpuFootprintBytes(plan.value()), expected);
+  std::uint64_t per_device_total = 0;
+  for (const auto& [device, bytes] :
+       EstimatedGpuFootprintPerDevice(plan.value())) {
+    per_device_total += bytes;
+  }
+  EXPECT_EQ(per_device_total, expected);
+}
+
 // ---------------------------------------------------------------------
 // JSON dump.
 
@@ -442,6 +543,8 @@ TEST_F(CompilerTest, ToJsonDescribesPipelinesAndChoices) {
   EXPECT_NE(json.find("\"placement\":\"heterogeneous\""), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"op\":\"aggregate\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ingest\":\"Coherence\""), std::string::npos)
+      << json;
 
   options.gpu_budget_bytes = 1024;
   const auto hybrid_plan = Compile(q1_, options);

@@ -2,6 +2,7 @@
 #include <numeric>
 
 #include "common/units.h"
+#include "fault/fault_injector.h"
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "memory/unified.h"
@@ -130,6 +131,20 @@ class TransferModelIntelTest : public ::testing::Test {
   hw::SystemProfile profile_ = hw::XeonProfile();
   TransferModel model_{&profile_};
 };
+
+TEST_F(TransferModelIbmTest, PullMethodIsCoherenceOnNvlink) {
+  const Result<TransferMethod> method =
+      PullMethodFor(profile_.topology, kGpu0, kCpu0);
+  ASSERT_TRUE(method.ok()) << method.status();
+  EXPECT_EQ(method.value(), TransferMethod::kCoherence);
+}
+
+TEST_F(TransferModelIntelTest, PullMethodIsZeroCopyOnPcie) {
+  const Result<TransferMethod> method =
+      PullMethodFor(profile_.topology, kGpu0, kCpu0);
+  ASSERT_TRUE(method.ok()) << method.status();
+  EXPECT_EQ(method.value(), TransferMethod::kZeroCopy);
+}
 
 TEST_F(TransferModelIntelTest, CoherenceUnsupportedOnPcie) {
   // Fig. 12: the Coherence method does not exist on PCI-e 3.0.
@@ -348,6 +363,50 @@ TEST(ExecutorDetailTest, PushNeedsDestination) {
   EXPECT_FALSE(ExecuteTransfer(TransferMethod::kPinnedCopy, src, &small,
                                kGpu0, 4096, 4096)
                    .ok());
+}
+
+TEST(ExecutorDetailTest, PullReadsInPlaceChunkByChunk) {
+  // A ragged byte count: the last chunk is partial.
+  constexpr std::uint64_t kBytes = 100 * 1000 + 7;
+  constexpr std::uint64_t kChunk = 4096;
+  for (const TransferMethod method :
+       {TransferMethod::kZeroCopy, TransferMethod::kCoherence}) {
+    SCOPED_TRACE(TransferMethodToString(method));
+    std::uint64_t landed = 0;
+    auto stats = ExecutePull(method, kBytes, kGpu0, kChunk, {},
+                             [&](std::uint64_t offset, std::uint64_t len) {
+                               EXPECT_EQ(offset, landed);
+                               landed += len;
+                             });
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats.value().bytes_copied, 0u);
+    EXPECT_TRUE(stats.value().direct_access);
+    EXPECT_EQ(stats.value().chunks, (kBytes + kChunk - 1) / kChunk);
+    EXPECT_EQ(landed, kBytes);
+  }
+}
+
+TEST(ExecutorDetailTest, PullRetriesTransientChunkFaults) {
+  fault::FaultInjector injector(/*seed=*/5);
+  fault::FaultSpec transient;
+  transient.probability = 0.3;
+  injector.Arm(fault::kTransferChunk, transient);
+  TransferFaultOptions faults{&injector, {}};
+  faults.retry.max_attempts = 30;
+  auto stats = ExecutePull(TransferMethod::kCoherence, 64 * 4096, kGpu0,
+                           4096, faults);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats.value().chunks, 64u);
+  EXPECT_GT(stats.value().retries, 0u);
+  EXPECT_EQ(stats.value().retries, stats.value().faults_injected);
+}
+
+TEST(ExecutorDetailTest, PullRejectsPushMethodsAndZeroChunk) {
+  EXPECT_FALSE(
+      ExecutePull(TransferMethod::kPinnedCopy, 4096, kGpu0, 4096).ok());
+  EXPECT_FALSE(
+      ExecutePull(TransferMethod::kUmMigration, 4096, kGpu0, 4096).ok());
+  EXPECT_FALSE(ExecutePull(TransferMethod::kCoherence, 4096, kGpu0, 0).ok());
 }
 
 TEST(ExecutorDetailTest, RejectsZeroChunk) {
