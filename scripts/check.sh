@@ -183,6 +183,7 @@ MIGRATED_FILES=(
   src/plan/build_cache.h src/plan/build_cache.cc
   src/common/cancel.h
   src/server/query_engine.h src/server/query_engine.cc
+  src/exec/executor.h src/exec/executor.cc
   src/exec/morsel.h
   src/exec/work_stealing.h
   src/obs/trace.h src/obs/trace.cc

@@ -1,11 +1,14 @@
 #include "exec/executor.h"
 
 #include <algorithm>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/query_context.h"
+#include "verify/mutation.h"
 
 namespace pump::exec {
 
@@ -14,21 +17,20 @@ namespace {
 /// Process-wide mirrors of the per-executor counters: the registry view
 /// aggregates every Executor instance (tests construct private pools),
 /// while Executor::Stats() stays per-instance.
+obs::Counter& Counter(const char* name) {
+  return obs::MetricsRegistry::Instance().GetCounter(name);
+}
+
 struct ExecMetrics {
-  obs::Counter& dispatches;
-  obs::Counter& tasks_run;
-  obs::Counter& steals;
-  obs::Counter& parks;
-  obs::Counter& unparks;
+  obs::Counter& dispatches = Counter("exec.dispatches");
+  obs::Counter& tasks_run = Counter("exec.tasks_run");
+  obs::Counter& steals = Counter("exec.steals");
+  obs::Counter& parks = Counter("exec.parks");
+  obs::Counter& unparks = Counter("exec.unparks");
 };
 
 ExecMetrics& Metrics() {
-  static ExecMetrics metrics{
-      obs::MetricsRegistry::Instance().GetCounter("exec.dispatches"),
-      obs::MetricsRegistry::Instance().GetCounter("exec.tasks_run"),
-      obs::MetricsRegistry::Instance().GetCounter("exec.steals"),
-      obs::MetricsRegistry::Instance().GetCounter("exec.parks"),
-      obs::MetricsRegistry::Instance().GetCounter("exec.unparks")};
+  static ExecMetrics metrics;
   return metrics;
 }
 
@@ -45,67 +47,98 @@ class ScopedInRun {
 
 }  // namespace
 
+/// One external Run call. Its fields are guarded by the executor's
+/// mutex_; `done` wakes the caller once the last slot completed.
+struct Executor::Job {
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t workers;
+  /// The caller's query context, installed around every slot: a slot
+  /// records trace events under the query that forked the phase (morsel
+  /// workers, GPU batch slices, shard probes all dispatch here).
+  obs::QueryContext context = obs::CurrentQueryContext();
+  std::size_t next = 1;  // Slot 0 belongs to the calling thread.
+  std::size_t completed = 0;
+  std::exception_ptr error = nullptr;
+  verify::CondVar done{};
+};
+
 Executor::Executor(std::size_t threads)
     : counters_(std::max<std::size_t>(1, threads)) {
-  const std::size_t count = std::max<std::size_t>(1, threads);
-  threads_.reserve(count);
-  for (std::size_t t = 0; t < count; ++t) {
+  verify::NamedMutex(&mutex_, "exec.pool");
+  threads_.reserve(counters_.size());
+  for (std::size_t t = 0; t < counters_.size(); ++t) {
     threads_.emplace_back([this, t] { WorkerLoop(t); });
   }
 }
 
 Executor::~Executor() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
+  // An aborted model run (PUMP_VERIFY) may deliver RunAborted at any of
+  // these sequence points; a destructor must not leak it.
+  try {
+    {
+      Lock lock(mutex_);
+      shutdown_ = true;
+    }
+    work_cv_.notify_all();
+    for (verify::Thread& thread : threads_) thread.join();
+  } catch (...) {
   }
-  work_cv_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
+}
+
+std::size_t Executor::Claim(Job& job) {
+  const std::size_t id = job.next++;
+  if (job.next == job.workers) {
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+  }
+  return id;
+}
+
+void Executor::RunSlot(Job& job, std::size_t id, Lock& lock) {
+  lock.unlock();
+  std::exception_ptr error;
+  try {
+    obs::ScopedQueryContext scope(job.context);
+    job.fn(id);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Seeded mutant: waking the caller before the completion is counted
+  // loses the wakeup when the caller checks its predicate in between.
+  const bool early_notify = PUMP_VERIFY_MUTATE("exec.pool.notify_before_done");
+  if (early_notify) job.done.notify_one();
+  lock.lock();
+  if (error && !job.error) job.error = error;
+  if (++job.completed == job.workers && !early_notify) job.done.notify_one();
 }
 
 void Executor::WorkerLoop(std::size_t thread_index) {
   ScopedInRun in_run;  // Nested ParallelFor inside a slot runs inline.
-  ThreadCounters& counters = counters_[thread_index];
-  std::uint64_t seen_generation = 0;
-  std::unique_lock<std::mutex> lock(mutex_);
+  Lock lock(mutex_);
+  WorkerStats& stats = counters_[thread_index];
+  bool parked = true;  // A fresh thread's first claim counts as an unpark.
   while (true) {
-    while (!shutdown_ && generation_ == seen_generation) {
-      counters.parks.fetch_add(1, std::memory_order_relaxed);
+    while (!shutdown_ && jobs_.empty()) {
+      ++stats.parks;
       Metrics().parks.Add();
+      parked = true;
       work_cv_.wait(lock);
     }
     if (shutdown_) return;
-    seen_generation = generation_;
-    counters.unparks.fetch_add(1, std::memory_order_relaxed);
-    Metrics().unparks.Add();
-    bool first_slot = true;
-    while (next_worker_ < task_workers_) {
-      const std::size_t id = next_worker_++;
-      const std::function<void(std::size_t)>* task = task_;
-      lock.unlock();
-      try {
-        (*task)(id);
-      } catch (...) {
-        std::exception_ptr error = std::current_exception();
-        std::lock_guard<std::mutex> error_lock(mutex_);
-        if (!first_exception_) first_exception_ = error;
-      }
-      lock.lock();
-      counters.tasks_run.fetch_add(1, std::memory_order_relaxed);
-      Metrics().tasks_run.Add();
-      if (!first_slot) {
-        counters.steals.fetch_add(1, std::memory_order_relaxed);
-        Metrics().steals.Add();
-      }
-      first_slot = false;
-      if (++completed_ == pool_slots_) done_cv_.notify_all();
+    if (parked) {
+      ++stats.unparks;
+      Metrics().unparks.Add();
+      parked = false;
+    } else {
+      ++stats.steals;
+      Metrics().steals.Add();
     }
+    // Round-robin across the active jobs: each query gets its share of
+    // the pool instead of queueing behind the one that arrived first.
+    Job& job = *jobs_[next_job_++ % jobs_.size()];
+    RunSlot(job, Claim(job), lock);
+    ++stats.tasks_run;
+    Metrics().tasks_run.Add();
   }
-}
-
-void Executor::RunInline(std::size_t workers,
-                         const std::function<void(std::size_t)>& fn) {
-  for (std::size_t id = 0; id < workers; ++id) fn(id);
 }
 
 void Executor::Run(std::size_t workers,
@@ -118,66 +151,40 @@ void Executor::Run(std::size_t workers,
     // Nested dispatch from inside a slot: the pool is busy running us, so
     // execute sequentially. Correct (same slots, same barrier), not
     // parallel — operators dispatch at the top level.
-    RunInline(workers, fn);
+    for (std::size_t id = 0; id < workers; ++id) fn(id);
     return;
   }
   ScopedInRun in_run;
-  // Forward the dispatching thread's query context to every pool slot:
-  // a slot records trace events under the query that forked the phase
-  // (morsel workers, GPU batch slices, shard probes all dispatch here).
-  // Only wrap when a context is installed, so untagged dispatches keep
-  // the exact pre-context hot path.
-  const obs::QueryContext context = obs::CurrentQueryContext();
-  const bool tagged = context.query_id != 0 || context.shard >= 0;
-  const std::function<void(std::size_t)> wrapped =
-      tagged ? std::function<void(std::size_t)>(
-                   [&fn, context](std::size_t id) {
-                     obs::ScopedQueryContext scope(context);
-                     fn(id);
-                   })
-             : nullptr;
-  std::lock_guard<std::mutex> run_lock(run_mutex_);
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
+  Job job{fn, workers};
+  Lock lock(mutex_);
+  ++dispatches_;
   Metrics().dispatches.Add();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    task_ = tagged ? &wrapped : &fn;
-    task_workers_ = workers;
-    next_worker_ = 1;  // Slot 0 belongs to the calling thread.
-    completed_ = 0;
-    pool_slots_ = workers - 1;
-    first_exception_ = nullptr;
-    ++generation_;
+  jobs_.push_back(&job);
+  // Wake only as many parked threads as the job has pool slots.
+  for (std::size_t wake = std::min(workers - 1, threads_.size()); wake > 0;
+       --wake) {
+    work_cv_.notify_one();
   }
-  work_cv_.notify_all();
-
-  std::exception_ptr caller_exception;
-  try {
-    fn(0);
-  } catch (...) {
-    caller_exception = std::current_exception();
+  RunSlot(job, 0, lock);
+  // Help with our own unclaimed slots, then wait only for the slots pool
+  // threads hold: the job finishes even when other queries keep every
+  // pool thread busy.
+  while (job.next < job.workers) {
+    RunSlot(job, Claim(job), lock);
+    ++caller_slots_;
   }
-
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [&] { return completed_ == pool_slots_; });
-    task_ = nullptr;
-    task_workers_ = 0;
-    error = first_exception_ ? first_exception_ : caller_exception;
-    first_exception_ = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
+  job.done.wait(lock, [&] { return job.completed == job.workers; });
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 Status Executor::RunStatus(std::size_t workers,
                            const std::function<Status(std::size_t)>& fn) {
-  std::mutex status_mutex;
+  verify::Mutex status_mutex;
   Status first_error;
   Run(workers, [&](std::size_t id) {
     Status status = fn(id);
     if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(status_mutex);
+      std::lock_guard<verify::Mutex> lock(status_mutex);
       if (first_error.ok()) first_error = std::move(status);
     }
   });
@@ -185,19 +192,23 @@ Status Executor::RunStatus(std::size_t workers,
 }
 
 std::vector<WorkerStats> Executor::Stats() const {
-  std::vector<WorkerStats> stats(counters_.size());
-  for (std::size_t t = 0; t < counters_.size(); ++t) {
-    stats[t].tasks_run = counters_[t].tasks_run.load(std::memory_order_relaxed);
-    stats[t].steals = counters_[t].steals.load(std::memory_order_relaxed);
-    stats[t].parks = counters_[t].parks.load(std::memory_order_relaxed);
-    stats[t].unparks = counters_[t].unparks.load(std::memory_order_relaxed);
-  }
-  return stats;
+  Lock lock(mutex_);
+  return counters_;
 }
 
 Executor& Executor::Default() {
   static Executor executor(DefaultWorkerCount());
   return executor;
+}
+
+void ParallelFor(std::size_t workers,
+                 const std::function<void(std::size_t)>& fn) {
+  Executor::Default().Run(workers, fn);
+}
+
+std::size_t DefaultWorkerCount() {
+  // A hardware query, not a synchronization primitive.
+  return std::max(1u, std::thread::hardware_concurrency());  // verify-exempt
 }
 
 }  // namespace pump::exec

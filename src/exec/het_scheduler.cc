@@ -1,10 +1,10 @@
 #include "exec/het_scheduler.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/happens_before.h"
@@ -36,13 +36,18 @@ HetMetrics& Metrics() {
 
 /// Morsel batches whose claiming group died before processing them. The
 /// surviving groups drain this queue after (and interleaved with) the main
-/// dispatcher, so a mid-run group failure never loses tuples.
+/// dispatcher, so a mid-run group failure never loses tuples. Its mutex
+/// also parks workers that found nothing to claim while a peer still
+/// holds a batch (which that peer may yet orphan).
 class OrphanQueue {
  public:
   void Push(const Morsel& morsel) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    orphans_.push_back(morsel);
-    hb_pushes_.Bump();
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      orphans_.push_back(morsel);
+      hb_pushes_.Bump();
+    }
+    idle_cv_.notify_all();
   }
 
   std::optional<Morsel> Pop() {
@@ -54,9 +59,22 @@ class OrphanQueue {
     return morsel;
   }
 
-  bool Empty() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return orphans_.empty();
+  /// Blocks until an orphan is queued (true) or no batch is in flight
+  /// while the queue is empty (false: nothing is left to adopt).
+  bool WaitForWork(const std::atomic<std::size_t>& in_flight) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [&] {
+      return in_flight.load(std::memory_order_acquire) == 0 ||
+             !orphans_.empty();
+    });
+    return !orphans_.empty();
+  }
+
+  /// Wakes WaitForWork callers after in_flight dropped to zero. Taking the
+  /// mutex orders the drop before any waiter's predicate check.
+  void NotifyIdle() {
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    idle_cv_.notify_all();
   }
 
   /// Orphaned / adopted batch epochs (debug builds only; 0 in release).
@@ -65,6 +83,7 @@ class OrphanQueue {
 
  private:
   mutable std::mutex mutex_;
+  std::condition_variable idle_cv_;
   std::vector<Morsel> orphans_;
   hb::EpochCounter hb_pushes_;
   hb::EpochCounter hb_pops_;
@@ -80,18 +99,19 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
   MorselDispatcher dispatcher(total, morsel_tuples);
 
   std::vector<GroupStats> stats(groups.size());
-  std::vector<std::atomic<std::size_t>> tuples(groups.size());
-  std::vector<std::atomic<std::size_t>> dispatches(groups.size());
-  std::vector<std::atomic<std::size_t>> failover_tuples(groups.size());
-  std::vector<std::atomic<std::size_t>> failover_dispatches(groups.size());
   std::vector<std::atomic<bool>> failed(groups.size());
-  for (auto& flag : failed) flag.store(false);
 
   OrphanQueue orphans;
   // Workers currently holding a claimed batch. A worker may only exit when
   // the dispatcher is dry, no orphans are queued, AND nothing is in
   // flight — an in-flight batch can still be orphaned by a dying group.
+  // Every release that drops it to zero wakes the idle waiters.
   std::atomic<std::size_t> in_flight{0};
+  const auto release = [&] {
+    if (in_flight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      orphans.NotifyIdle();
+    }
+  };
 
   // Flatten the groups' workers into executor slots: slot -> group. The
   // persistent pool replaces the former per-call std::thread spawning; the
@@ -103,10 +123,13 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
       slot_group.push_back(g);
     }
   }
+  // Each slot counts into its own entry; folded per group after the join.
+  std::vector<GroupStats> slot_stats(slot_group.size());
   if (!slot_group.empty()) {
     Executor::Default().Run(slot_group.size(), [&](std::size_t slot) {
       const std::size_t g = slot_group[slot];
       const ProcessorGroup& group = groups[g];
+      GroupStats& counts = slot_stats[slot];
       // The cancel poll sits before the claim, so a cancelled query's
       // worker exits holding nothing: at most the one batch it was
       // already processing finishes after the token fires.
@@ -121,23 +144,19 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
           from_orphan = batch.has_value();
         }
         if (!batch) {
-          // Nothing claimable right now. Safe to exit only once no other
-          // worker holds a batch (it could die and orphan it) and the
-          // orphan queue stayed empty after that observation.
-          const std::size_t others =
-              in_flight.fetch_sub(1, std::memory_order_acq_rel) - 1;
-          if (others == 0 && orphans.Empty()) {
-            // Happens-before: every orphan Push precedes its worker's
-            // in_flight release, so with no batch in flight and the
-            // queue empty, every orphaned batch has been adopted.
-            PUMP_HB_ASSERT(orphans.hb_pushes() == orphans.hb_pops(),
-                           "worker exiting while an orphaned batch is "
-                           "still unadopted; Push must happen before "
-                           "the dying worker releases in_flight");
-            break;
-          }
-          std::this_thread::yield();
-          continue;
+          // Nothing claimable right now. Block instead of spinning; exit
+          // only once no other worker holds a batch (it could die and
+          // orphan it) and the orphan queue is empty at that moment.
+          release();
+          if (orphans.WaitForWork(in_flight)) continue;
+          // Happens-before: every orphan Push precedes its worker's
+          // in_flight release, so with no batch in flight and the
+          // queue empty, every orphaned batch has been adopted.
+          PUMP_HB_ASSERT(orphans.hb_pushes() == orphans.hb_pops(),
+                         "worker exiting while an orphaned batch is "
+                         "still unadopted; Push must happen before "
+                         "the dying worker releases in_flight");
+          break;
         }
         if (injector != nullptr &&
             !injector->Check(fault::kSchedWorkerStall, group.name).ok()) {
@@ -157,7 +176,7 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
                          "dying worker orphaned its batch after "
                          "releasing its in-flight slot");
           orphans.Push(*batch);
-          in_flight.fetch_sub(1, std::memory_order_acq_rel);
+          release();
           break;
         }
         {
@@ -167,17 +186,25 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
           group.process(batch->begin, batch->end);
         }
         Metrics().batches.Add();
-        tuples[g].fetch_add(batch->size(), std::memory_order_relaxed);
-        dispatches[g].fetch_add(1, std::memory_order_relaxed);
+        counts.tuples += batch->size();
+        ++counts.dispatches;
         if (from_orphan) {
           Metrics().failover_batches.Add();
-          failover_tuples[g].fetch_add(batch->size(),
-                                       std::memory_order_relaxed);
-          failover_dispatches[g].fetch_add(1, std::memory_order_relaxed);
+          counts.failover_tuples += batch->size();
+          ++counts.failover_dispatches;
         }
-        in_flight.fetch_sub(1, std::memory_order_acq_rel);
+        release();
       }
     });
+  }
+
+  for (std::size_t slot = 0; slot < slot_group.size(); ++slot) {
+    GroupStats& group = stats[slot_group[slot]];
+    group.tuples += slot_stats[slot].tuples;
+    group.dispatches += slot_stats[slot].dispatches;
+    group.failover_tuples += slot_stats[slot].failover_tuples;
+    group.failover_dispatches += slot_stats[slot].failover_dispatches;
+    group.failed = failed[slot_group[slot]].load();
   }
 
   // Exactly-once ledger (debug builds): every batch claimed from the
@@ -187,7 +214,7 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
                  "more orphan batches adopted than were ever orphaned");
 #if PUMP_HB_ASSERTIONS
   std::uint64_t processed_batches = 0;
-  for (const auto& count : dispatches) processed_batches += count.load();
+  for (const GroupStats& group : stats) processed_batches += group.dispatches;
   PUMP_HB_ASSERT(processed_batches ==
                      dispatcher.hb_claims() + orphans.hb_pops() -
                          orphans.hb_pushes(),
@@ -195,14 +222,6 @@ std::vector<GroupStats> RunHeterogeneous(std::size_t total,
                  "claim/orphan/adopt ledger; a batch was lost or "
                  "double-processed across the failover path");
 #endif
-
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    stats[g].tuples = tuples[g].load();
-    stats[g].dispatches = dispatches[g].load();
-    stats[g].failed = failed[g].load();
-    stats[g].failover_tuples = failover_tuples[g].load();
-    stats[g].failover_dispatches = failover_dispatches[g].load();
-  }
   return stats;
 }
 

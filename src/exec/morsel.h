@@ -58,9 +58,6 @@ class MorselDispatcher {
     return cursor_.load(std::memory_order_relaxed);
   }
 
-  /// Total input size.
-  std::size_t total() const { return total_; }
-
   /// Successful claims so far (debug builds only; 0 in release). Used by
   /// the scheduler's exactly-once ledger assertion.
   std::uint64_t hb_claims() const { return hb_claims_.Load(); }

@@ -56,8 +56,8 @@ inline constexpr std::size_t kDefaultChunkMorsels = 8;
 /// Exactly-once coverage holds by construction: chunk ranges are disjoint
 /// and immutable (derived from the chunk index, never stored), and every
 /// per-chunk cursor is a saturating CAS claim — the same ledger discipline
-/// as MorselDispatcher, whose `hb_claims`/`hb_drains` epochs this class
-/// mirrors at morsel granularity. Note one deliberate relaxation: unlike
+/// as MorselDispatcher, whose `hb_claims` epoch this class mirrors at
+/// morsel granularity. Note one deliberate relaxation: unlike
 /// the flat dispatcher, a worker that observed a full drain may later
 /// succeed again — a peer can install a chunk it claimed *before* the
 /// global drain and have it stolen afterwards. That is work conservation,
@@ -120,15 +120,9 @@ class WorkStealingDispatcher {
         return morsel;
       }
     }
-    hb_drains_.Bump();
     ws_internal::Metrics().drains.Add();
     return std::nullopt;
   }
-
-  /// Total input size.
-  std::size_t total() const { return total_; }
-  /// Workers the dispatcher was sized for.
-  std::size_t workers() const { return local_.size(); }
 
   /// Morsels `worker` stole from other workers' chunks.
   std::uint64_t steals(std::size_t worker) const {
@@ -147,8 +141,6 @@ class WorkStealingDispatcher {
   /// Successful morsel claims (debug builds only; 0 in release) — the
   /// exactly-once ledger at morsel granularity.
   std::uint64_t hb_claims() const { return hb_claims_.Load(); }
-  /// Full-drain observations (debug builds only; 0 in release).
-  std::uint64_t hb_drains() const { return hb_drains_.Load(); }
   /// Chunk claims against the global cursor (debug builds only).
   std::uint64_t hb_chunk_claims() const { return chunk_ids_.hb_claims(); }
 
@@ -212,7 +204,6 @@ class WorkStealingDispatcher {
   std::vector<ChunkCursor> cursors_;
   std::vector<LocalState> local_;
   hb::EpochCounter hb_claims_;
-  hb::EpochCounter hb_drains_;
 };
 
 }  // namespace pump::exec

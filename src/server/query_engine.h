@@ -83,9 +83,10 @@ class QueryHandle {
 struct EngineOptions {
   /// Scheduler threads executing admitted queries. Each runs one query
   /// at a time through plan::ExecutePlan; the queries share the
-  /// process-wide persistent exec::Executor pool, which serializes their
-  /// fork-join phases — concurrent plans interleave at phase granularity
-  /// rather than oversubscribing the machine.
+  /// process-wide persistent exec::Executor pool, whose threads claim
+  /// slots round-robin across every query's concurrent fork-join phases
+  /// (each session thread also runs its own unclaimed slots), so
+  /// concurrent plans overlap without oversubscribing the machine.
   std::size_t session_threads = 2;
   /// Bound on admitted-but-not-started queries. A Submit that finds the
   /// queue full is shed with kResourceExhausted — load is rejected at

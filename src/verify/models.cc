@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "common/cancel.h"
@@ -13,6 +14,7 @@
 #include "engine/executor.h"
 #include "engine/query.h"
 #include "engine/table.h"
+#include "exec/executor.h"
 #include "exec/morsel.h"
 #include "exec/work_stealing.h"
 #include "obs/trace.h"
@@ -265,6 +267,51 @@ void WorkStealingCoverageModel() {
 }
 
 // ---------------------------------------------------------------------
+// exec::Executor — the per-query job queue: two external callers share a
+// private one-thread pool (never the process-wide one, whose threads are
+// outside the schedule). Every slot runs exactly once, Run returns only
+// after all of its own slots completed — the caller helps with its
+// unclaimed slots and then waits for the ones the pool holds — and a
+// slot's exception stays in its own job. A lost completion wakeup
+// surfaces as a model deadlock.
+
+void ExecutorJobsModel() {
+  int ran_a[2] = {0, 0};
+  int ran_b[2] = {0, 0};
+  bool b_done = false;
+  bool b_threw = false;
+  exec::Executor executor(1);
+  Thread other([&] {
+    try {
+      executor.Run(2, [&](std::size_t id) { ++ran_b[id]; });
+    } catch (const std::runtime_error&) {
+      b_threw = true;
+    }
+    // Model threads serialize, so plain reads after Run are exact.
+    b_done = ran_b[0] == 1 && ran_b[1] == 1;
+  });
+  bool a_threw = false;
+  try {
+    executor.Run(2, [&](std::size_t id) {
+      ++ran_a[id];
+      if (id == 1) throw std::runtime_error("job A, slot 1");
+    });
+  } catch (const std::runtime_error&) {
+    a_threw = true;
+  }
+  VERIFY_INVARIANT(ran_a[0] == 1 && ran_a[1] == 1,
+                   "Run returned before every slot of its job ran exactly "
+                   "once");
+  VERIFY_INVARIANT(a_threw, "a slot's exception was lost from its job");
+  other.join();
+  VERIFY_INVARIANT(b_done,
+                   "concurrent Run returned before every slot of its job "
+                   "ran exactly once");
+  VERIFY_INVARIANT(!b_threw,
+                   "a slot's exception leaked into a concurrent job");
+}
+
+// ---------------------------------------------------------------------
 // server::QueryEngine — admission queue and handle resolution: every
 // admitted query resolves exactly once, budget bookkeeping returns to
 // zero, and the client's Wait never hangs (a lost wakeup in the
@@ -427,6 +474,7 @@ const std::vector<Model>& Models() {
       {"common.cancel.latch", CancelLatchModel, 800, 100},
       {"exec.morsel.coverage", MorselCoverageModel, 1'200, 200},
       {"exec.ws.coverage", WorkStealingCoverageModel, 2'000, 300},
+      {"exec.pool.jobs", ExecutorJobsModel, 2'000, 300},
       {"server.engine.admission", QueryEngineAdmissionModel, 2'500, 400},
       {"server.engine.budget", QueryEngineBudgetModel, 2'000, 300},
       {"server.handle.resolve", QueryHandleResolveModel, 1'500, 300},
@@ -442,6 +490,7 @@ const std::vector<Mutant>& Mutants() {
       {"common.cancel.latch_blind_store", "common.cancel.latch"},
       {"exec.morsel.unsaturated_claim", "exec.morsel.coverage"},
       {"exec.ws.tail_overrun", "exec.ws.coverage"},
+      {"exec.pool.notify_before_done", "exec.pool.jobs"},
       {"server.handle.notify_before_done", "server.handle.resolve"},
       {"server.budget.leak_on_release", "server.engine.budget"},
       {"obs.trace.count_before_slot", "obs.trace.ring"},

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,19 @@
 
 namespace pump::exec {
 namespace {
+
+/// Polls `done` for up to a few seconds, so a test whose threads fail to
+/// overlap fails instead of hanging. Returns whether `done` became true.
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return true;
+}
 
 TEST(ExecutorTest, RunsEverySlotExactlyOnce) {
   Executor executor(3);
@@ -74,7 +88,17 @@ TEST(ExecutorTest, MatchesParallelForAcrossPhases) {
 TEST(ExecutorTest, StatsAccumulateAcrossDispatches) {
   Executor executor(2);
   for (int i = 0; i < 5; ++i) {
-    executor.Run(4, [](std::size_t) {});
+    // Slot 0 holds the caller until a pool thread started a slot, so
+    // every dispatch engages the pool (otherwise the caller may run all
+    // of these empty slots itself before a parked thread wakes).
+    std::atomic<bool> pool_started{false};
+    executor.Run(4, [&](std::size_t id) {
+      if (id != 0) {
+        pool_started.store(true);
+      } else {
+        EXPECT_TRUE(WaitUntil([&] { return pool_started.load(); }));
+      }
+    });
   }
   EXPECT_EQ(executor.dispatches(), 5u);
   const std::vector<WorkerStats> stats = executor.Stats();
@@ -85,8 +109,9 @@ TEST(ExecutorTest, StatsAccumulateAcrossDispatches) {
     tasks += s.tasks_run;
     unparks += s.unparks;
   }
-  // The caller runs slot 0 of each dispatch; pool threads run the rest.
-  EXPECT_EQ(tasks, 5u * 3u);
+  // The caller runs slot 0 of each dispatch; pool threads and the
+  // helping caller split the rest, each slot exactly once.
+  EXPECT_EQ(tasks + executor.caller_slots(), 5u * 3u);
   EXPECT_GE(unparks, 5u);  // At least one wake-up per dispatch.
 }
 
@@ -95,10 +120,69 @@ TEST(ExecutorTest, MoreSlotsThanThreadsStillCovered) {
   std::vector<std::atomic<int>> ran(64);
   executor.Run(64, [&](std::size_t id) { ran[id].fetch_add(1); });
   for (auto& count : ran) EXPECT_EQ(count.load(), 1);
-  // The single pool thread executed 63 slots: 62 beyond its first.
+  // The single pool thread and the helping caller split the 63 pool
+  // slots; every slot the thread ran past its first is a steal.
   const std::vector<WorkerStats> stats = executor.Stats();
-  EXPECT_EQ(stats[0].tasks_run, 63u);
-  EXPECT_EQ(stats[0].steals, 62u);
+  EXPECT_EQ(stats[0].tasks_run + executor.caller_slots(), 63u);
+  EXPECT_EQ(stats[0].steals,
+            stats[0].tasks_run == 0 ? 0u : stats[0].tasks_run - 1);
+}
+
+TEST(ExecutorTest, ConcurrentRunsOverlap) {
+  // Two external callers share the pool: each job's slot 1 waits until
+  // both jobs' slot 1 started, which only succeeds when the jobs run
+  // concurrently rather than one after the other.
+  Executor executor(2);
+  std::atomic<int> started{0};
+  std::atomic<int> timeouts{0};
+  const auto job = [&] {
+    executor.Run(2, [&](std::size_t id) {
+      if (id != 1) return;
+      started.fetch_add(1);
+      if (!WaitUntil([&] { return started.load() == 2; })) {
+        timeouts.fetch_add(1);
+      }
+    });
+  };
+  std::thread first(job);
+  std::thread second(job);
+  first.join();
+  second.join();
+  EXPECT_EQ(started.load(), 2);
+  EXPECT_EQ(timeouts.load(), 0);
+}
+
+TEST(ExecutorTest, ExceptionStaysInItsJob) {
+  // Job B stays in flight across the whole of job A, whose slot throws:
+  // only A's Run rethrows, and B returns normally.
+  Executor executor(2);
+  std::atomic<bool> b_running{false};
+  std::atomic<bool> a_returned{false};
+  std::atomic<bool> b_spanned_a{false};
+  std::atomic<bool> b_threw{false};
+  std::thread b([&] {
+    try {
+      executor.Run(2, [&](std::size_t id) {
+        if (id != 1) return;
+        b_running.store(true);
+        b_spanned_a.store(WaitUntil([&] { return a_returned.load(); }));
+      });
+    } catch (...) {
+      b_threw.store(true);
+    }
+  });
+  EXPECT_TRUE(WaitUntil([&] { return b_running.load(); }));
+  EXPECT_THROW(executor.Run(2,
+                            [](std::size_t id) {
+                              if (id == 1) {
+                                throw std::runtime_error("job A failed");
+                              }
+                            }),
+               std::runtime_error);
+  a_returned.store(true);
+  b.join();
+  EXPECT_TRUE(b_spanned_a.load());
+  EXPECT_FALSE(b_threw.load());
 }
 
 TEST(ExecutorTest, ExceptionPropagatesAfterBarrier) {

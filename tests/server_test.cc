@@ -702,47 +702,81 @@ TEST(QueryEngineTest, ShardedSubmissionChargesEveryDevicePool) {
 }
 
 TEST(QueryEngineTest, ConcurrentSubmittersAllResolve) {
+  // Concurrent queries share the executor pool: at every worker count and
+  // under both the CPU plan and the heterogeneous GPU plan, every served
+  // result is bit-identical to solo execution. In each cell one more
+  // query is cancelled while its siblings run; it resolves (cancelled,
+  // or complete and correct if it finished first) and no sibling waits
+  // on it or returns a wrong result.
   const engine::Query q1 = engine::SsbQ1(Db());
   const engine::Query q2 = engine::SsbQ2(Db());
   const engine::Query q3 = engine::SsbQ3(Db());
   const engine::QueryResult expected[] = {Solo(q1), Solo(q2), Solo(q3)};
   const engine::Query* queries[] = {&q1, &q2, &q3};
 
-  server::EngineOptions options;
-  options.session_threads = 4;
-  options.queue_capacity = 64;
-  server::QueryEngine engine(options);
+  for (const plan::PlacementPolicy policy :
+       {plan::PlacementPolicy::kCpuOnly,
+        plan::PlacementPolicy::kGpuPreferred}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE(testing::Message()
+                   << "policy " << static_cast<int>(policy) << ", workers "
+                   << workers);
+      server::EngineOptions options;
+      options.session_threads = 4;
+      options.queue_capacity = 64;
+      options.policy = policy;
+      server::QueryEngine engine(options);
 
-  constexpr std::size_t kSubmitters = 4;
-  constexpr std::size_t kPerSubmitter = 4;
-  std::atomic<int> mismatches{0};
-  std::atomic<int> errors{0};
-  std::vector<std::thread> submitters;
-  for (std::size_t t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&, t] {
-      for (std::size_t q = 0; q < kPerSubmitter; ++q) {
-        const std::size_t pick = (t + q) % 3;
-        server::SubmitOptions submit;
-        submit.workers = 2;
-        Result<std::shared_ptr<server::QueryHandle>> handle =
-            engine.Submit(*queries[pick], submit);
-        if (!handle.ok()) {
-          errors.fetch_add(1);
-          continue;
-        }
-        const Result<engine::ExecReport>& report = handle.value()->Wait();
-        if (!report.ok()) {
-          errors.fetch_add(1);
-        } else if (!(report.value().result == expected[pick])) {
-          mismatches.fetch_add(1);
+      constexpr std::size_t kSubmitters = 4;
+      constexpr std::size_t kPerSubmitter = 4;
+      server::SubmitOptions submit;
+      submit.workers = workers;
+      std::atomic<int> mismatches{0};
+      std::atomic<int> errors{0};
+      std::vector<std::thread> submitters;
+      for (std::size_t t = 0; t < kSubmitters; ++t) {
+        submitters.emplace_back([&, t] {
+          for (std::size_t q = 0; q < kPerSubmitter; ++q) {
+            const std::size_t pick = (t + q) % 3;
+            Result<std::shared_ptr<server::QueryHandle>> handle =
+                engine.Submit(*queries[pick], submit);
+            if (!handle.ok()) {
+              errors.fetch_add(1);
+              continue;
+            }
+            const Result<engine::ExecReport>& report =
+                handle.value()->Wait();
+            if (!report.ok()) {
+              errors.fetch_add(1);
+            } else if (!(report.value().result == expected[pick])) {
+              mismatches.fetch_add(1);
+            }
+          }
+        });
+      }
+      server::SubmitOptions victim_submit = submit;
+      victim_submit.morsel_tuples = 1'000;  // Many cancel polls.
+      Result<std::shared_ptr<server::QueryHandle>> victim =
+          engine.Submit(q3, victim_submit);
+      EXPECT_TRUE(victim.ok()) << victim.status();
+      if (victim.ok()) {
+        victim.value()->Cancel();
+        const Result<engine::ExecReport>& cancelled = victim.value()->Wait();
+        if (cancelled.ok()) {
+          EXPECT_EQ(cancelled.value().result, expected[2]);
+        } else {
+          EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
         }
       }
-    });
+      for (std::thread& submitter : submitters) submitter.join();
+      EXPECT_EQ(errors.load(), 0);
+      EXPECT_EQ(mismatches.load(), 0);
+      const server::EngineStats stats = engine.stats();
+      EXPECT_EQ(stats.completed + stats.cancelled,
+                kSubmitters * kPerSubmitter + 1);
+      EXPECT_GE(stats.completed, kSubmitters * kPerSubmitter);
+    }
   }
-  for (std::thread& submitter : submitters) submitter.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(engine.stats().completed, kSubmitters * kPerSubmitter);
 }
 
 }  // namespace
