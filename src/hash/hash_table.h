@@ -177,6 +177,16 @@ class PerfectHashTable {
     return true;
   }
 
+  /// Prefetches the key slot `key` would probe, for callers that keep
+  /// their own lookups in flight (plan/operators.cc). No-op outside the
+  /// key domain.
+  void Prefetch(K key) const {
+    if (key < 0 || static_cast<std::size_t>(key) >= storage_.capacity()) {
+      return;
+    }
+    storage_.PrefetchKey(static_cast<std::size_t>(PerfectHash(key)));
+  }
+
   /// Batched probe: resolves `count` keys, setting `found[i]` and (on a
   /// match) `values[i]`; returns the match count. Bit-identical results
   /// to calling Lookup per key. Dispatches at runtime between the
@@ -321,6 +331,10 @@ class LinearProbingHashTable {
     }
     return false;
   }
+
+  /// Prefetches the first bucket `key` would probe (see
+  /// PerfectHashTable::Prefetch).
+  void Prefetch(K key) const { storage_.PrefetchKey(HashKey(key) & mask_); }
 
   /// Batched probe (see PerfectHashTable::ProbeBatch): dispatches at
   /// runtime between the 8-wide AVX2 kernel — vectorized Murmur3 mix,

@@ -83,8 +83,13 @@ KeyStats GatherKeyStats(const std::vector<std::int64_t>& keys) {
   KeyStats stats;
   stats.rows = keys.size();
   if (keys.empty()) return stats;
-  stats.min_key = *std::min_element(keys.begin(), keys.end());
-  stats.max_key = *std::max_element(keys.begin(), keys.end());
+  // One pass for both bounds: this runs on every Compile, under the
+  // serving layer's admission lock.
+  stats.min_key = stats.max_key = keys.front();
+  for (const std::int64_t key : keys) {
+    stats.min_key = std::min(stats.min_key, key);
+    stats.max_key = std::max(stats.max_key, key);
+  }
   if (stats.min_key >= 0) {
     stats.density = static_cast<double>(stats.rows) /
                     static_cast<double>(stats.max_key + 1);

@@ -222,27 +222,53 @@ Result<TableHandles> RunBuildPipelines(
   return tables;
 }
 
-/// Morsel-parallel probe of `tuples` positions with hierarchical work
-/// stealing; `process(begin, end, &rows, &sum)` runs one claimed morsel
-/// and the per-worker partials add into `total_rows`/`total_sum`.
-/// Workers poll the cancel token before every morsel claim, so a
-/// cancelled query stops within one morsel per worker (an already-expired
-/// one claims none) and the call returns the token's status.
-template <typename Process>
-Status ProbeMorsels(std::size_t tuples, std::size_t probes,
-                    const engine::ExecOptions& options,
-                    std::atomic<std::uint64_t>* total_rows,
-                    std::atomic<std::int64_t>* total_sum,
-                    const Process& process) {
+/// The rows/sum totals a probe's workers reduce into.
+struct ProbeTotals {
+  std::atomic<std::uint64_t> rows{0};
+  std::atomic<std::int64_t> sum{0};
+  engine::QueryResult Load() const { return {rows.load(), sum.load()}; }
+};
+
+/// The rows/sum reduction of every probe path: runs the pipeline over
+/// [begin, end) of `indices` (of the fact table when null) in slices of
+/// morsel_tuples, polling the cancel token per slice, then adds the
+/// partials into `totals`; a GPU batch thus cancels at morsel granularity.
+void ProbeSlices(const BoundProbe& bound, const std::uint32_t* indices,
+                 std::size_t begin, std::size_t end,
+                 const engine::ExecOptions& options, ProbeTotals* totals) {
+  const std::size_t slice_tuples =
+      std::max<std::size_t>(1, options.morsel_tuples);
+  std::uint64_t rows = 0;
+  std::int64_t sum = 0;
+  for (std::size_t slice = begin; slice < end;) {
+    if (options.cancel != nullptr && options.cancel->Cancelled()) break;
+    const std::size_t slice_end = std::min(slice + slice_tuples, end);
+    if (indices == nullptr) {
+      ProcessRange(bound, slice, slice_end, &rows, &sum);
+    } else {
+      ProcessIndices(bound, indices + slice, slice_end - slice, &rows, &sum);
+    }
+    slice = slice_end;
+  }
+  totals->rows.fetch_add(rows, std::memory_order_relaxed);
+  totals->sum.fetch_add(sum, std::memory_order_relaxed);
+}
+
+/// Morsel-parallel ProbeSlices over `tuples` positions with work stealing.
+/// Workers poll the cancel token before every claim, so a cancelled query
+/// stops within one morsel per worker (an expired one claims none); returns
+/// the token's status.
+Status ProbeMorsels(const BoundProbe& bound, const std::uint32_t* indices,
+                    std::size_t tuples, const engine::ExecOptions& options,
+                    ProbeTotals* totals) {
   const std::size_t workers = std::max<std::size_t>(1, options.workers);
   const CancelToken* cancel = options.cancel;
   exec::WorkStealingDispatcher dispatcher(tuples, options.morsel_tuples,
                                           workers);
   exec::ParallelFor(workers, [&](std::size_t w) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.probe",
-                    static_cast<double>(w), static_cast<double>(probes));
-    std::uint64_t rows = 0;
-    std::int64_t sum = 0;
+                    static_cast<double>(w),
+                    static_cast<double>(bound.probes.size()));
     std::uint64_t claimed = 0;
     while (!(cancel != nullptr && cancel->Cancelled())) {
       auto morsel = dispatcher.Next(w);
@@ -252,11 +278,10 @@ Status ProbeMorsels(std::size_t tuples, std::size_t probes,
                       static_cast<double>(morsel->size()));
       ++claimed;
       Counters().morsel_tuples.Record(morsel->size());
-      process(morsel->begin, morsel->end, &rows, &sum);
+      ProbeSlices(bound, indices, morsel->begin, morsel->end, options,
+                  totals);
     }
     Counters().morsels.Add(claimed);
-    total_rows->fetch_add(rows, std::memory_order_relaxed);
-    total_sum->fetch_add(sum, std::memory_order_relaxed);
   });
   return cancel != nullptr ? cancel->ToStatus() : Status::OK();
 }
@@ -267,15 +292,10 @@ Result<engine::QueryResult> RunProbeCpu(const PhysicalPlan& plan,
                                         const engine::ExecOptions& options,
                                         const TableHandles& tables) {
   PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables));
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
-  PUMP_RETURN_NOT_OK(ProbeMorsels(
-      plan.query->fact->rows(), bound.probes.size(), options, &total_rows, &total_sum,
-      [&bound](std::size_t begin, std::size_t end, std::uint64_t* rows,
-               std::int64_t* sum) {
-        ProcessRange(bound, begin, end, rows, sum);
-      }));
-  return engine::QueryResult{total_rows.load(), total_sum.load()};
+  ProbeTotals totals;
+  PUMP_RETURN_NOT_OK(ProbeMorsels(bound, nullptr, plan.query->fact->rows(),
+                                  options, &totals));
+  return totals.Load();
 }
 
 /// GPU / heterogeneous probe pipeline: the GPU reads each fact column in
@@ -323,26 +343,12 @@ Status RunProbeGpu(const PhysicalPlan& plan,
   };
   PUMP_ASSIGN_OR_RETURN(BoundProbe bound, BindProbe(plan, tables, ingest));
 
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
-  const std::size_t slice_tuples =
-      std::max<std::size_t>(1, options.morsel_tuples);
+  ProbeTotals totals;
   auto work = [&](std::size_t begin, std::size_t end) {
     PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "morsel",
                     static_cast<double>(begin),
                     static_cast<double>(end - begin));
-    std::uint64_t range_rows = 0;
-    std::int64_t range_sum = 0;
-    // A GPU batch spans many morsels; slice it so cancellation is still
-    // observed at morsel granularity inside a claimed batch.
-    for (std::size_t slice = begin; slice < end;) {
-      if (options.cancel != nullptr && options.cancel->Cancelled()) break;
-      const std::size_t slice_end = std::min(slice + slice_tuples, end);
-      ProcessRange(bound, slice, slice_end, &range_rows, &range_sum);
-      slice = slice_end;
-    }
-    total_rows.fetch_add(range_rows, std::memory_order_relaxed);
-    total_sum.fetch_add(range_sum, std::memory_order_relaxed);
+    ProbeSlices(bound, nullptr, begin, end, options, &totals);
   };
   std::vector<exec::ProcessorGroup> groups;
   if (plan.probe.placement == PipelinePlacement::kHeterogeneous) {
@@ -371,7 +377,7 @@ Status RunProbeGpu(const PhysicalPlan& plan,
         "all processor groups failed; " + std::to_string(rows - processed) +
         " tuples unprocessed");
   }
-  report->result = engine::QueryResult{total_rows.load(), total_sum.load()};
+  report->result = totals.Load();
   return Status::OK();
 }
 
@@ -387,9 +393,9 @@ std::size_t ShardOf(std::int64_t key, std::size_t shard_count) {
 /// hash-partitioned on the first probe key (row-range partitioned for
 /// join-free plans), partitions are exchanged all-to-all over the
 /// modelled mesh through the transfer layer, and each shard probes its
-/// partition in parallel. Tuple-at-a-time semantics are ProcessRange's
-/// and the aggregate is order-independent, so the result is
-/// bit-identical to the single-device plan. A shard whose device fails
+/// partition in parallel. Each shard runs ProcessRange's block kernel over
+/// its index list and the aggregate is order-independent, so the result
+/// is bit-identical to the single-device plan. A shard whose device fails
 /// its modelled allocation degrades alone — the other shards keep their
 /// placements (shard-by-shard fault ladder).
 Status RunProbeSharded(const PhysicalPlan& plan,
@@ -544,8 +550,7 @@ Status RunProbeSharded(const PhysicalPlan& plan,
   // Probe the shards: each runs morsel-parallel over its own partition
   // (a degraded shard runs the identical host loop, only its modelled
   // placement changed).
-  std::atomic<std::uint64_t> total_rows{0};
-  std::atomic<std::int64_t> total_sum{0};
+  ProbeTotals totals;
   for (std::size_t s = 0; s < shard_count; ++s) {
     const std::vector<std::uint32_t>& indices = shard_indices[s];
     engine::PipelineOutcome shard_row;
@@ -565,21 +570,15 @@ Status RunProbeSharded(const PhysicalPlan& plan,
     PUMP_TRACE_SPAN(obs::TraceCategory::kExec, "shard.probe",
                     static_cast<double>(s),
                     static_cast<double>(indices.size()));
-    const Status probed = ProbeMorsels(
-        indices.size(), bound.probes.size(), options, &total_rows,
-        &total_sum,
-        [&](std::size_t begin, std::size_t end, std::uint64_t* rows,
-            std::int64_t* sum) {
-          ProcessIndices(bound, indices.data() + begin, end - begin, rows,
-                         sum);
-        });
+    const Status probed =
+        ProbeMorsels(bound, indices.data(), indices.size(), options, &totals);
     shard_row.measured_s = SecondsSince(shard_start);
     report->shards.push_back(std::move(shard_row));
     PUMP_RETURN_NOT_OK(probed);
   }
   probe_row.retries = report->shards.front().retries;
   probe_row.faults_injected = report->shards.front().faults_injected;
-  report->result = engine::QueryResult{total_rows.load(), total_sum.load()};
+  report->result = totals.Load();
   return Status::OK();
 }
 

@@ -35,6 +35,15 @@ class DimensionTable {
     return linear_->Lookup(key, &ignored);
   }
 
+  /// Prefetches the slot a Contains(key) would read first.
+  void Prefetch(std::int64_t key) const {
+    if (perfect_.has_value()) {
+      perfect_->Prefetch(key);
+    } else {
+      linear_->Prefetch(key);
+    }
+  }
+
   /// The table kind actually constructed.
   HashTableKind kind() const { return kind_; }
   /// Keys inserted (post dimension-filter).
@@ -93,18 +102,20 @@ Result<BoundProbe> BindProbe(
     const std::vector<std::shared_ptr<const DimensionTable>>& tables,
     const ColumnHook& on_column = {});
 
-/// Executes the bound pipeline over fact tuples [begin, end): filter
-/// operators in order with early exit, semi-join probes in order, then
-/// the aggregate — tuple-at-a-time semantics identical to the reference
-/// executor, so results are bit-identical.
+/// Executes the bound pipeline over fact tuples [begin, end), a block of
+/// up to 1024 tuples at a time: filters and semi-join probes compact a
+/// selection vector in order, then the aggregate counts and sums the
+/// survivors. Operators are side-effect free and the aggregate is a count
+/// plus an integer sum, so results are bit-identical to the reference
+/// executor's tuple-at-a-time loop.
 void ProcessRange(const BoundProbe& bound, std::size_t begin,
                   std::size_t end, std::uint64_t* rows, std::int64_t* sum);
 
 /// Executes the bound pipeline over an explicit tuple index list — the
-/// shard-local probe of a hash-partitioned plan. Per-tuple semantics are
-/// exactly ProcessRange's, and the aggregate (count + 64-bit sum) is
-/// order-independent, so sharded execution stays bit-identical to the
-/// single-device plan.
+/// shard-local probe of a hash-partitioned plan. The index list seeds the
+/// same block kernel as ProcessRange, and the aggregate (count + 64-bit
+/// sum) is order-independent, so sharded execution stays bit-identical to
+/// the single-device plan.
 void ProcessIndices(const BoundProbe& bound, const std::uint32_t* indices,
                     std::size_t count, std::uint64_t* rows,
                     std::int64_t* sum);

@@ -3,11 +3,18 @@
 // path and through the plan IR, across worker counts and under injected
 // faults), the compiler's hash-table/placement choices, compile-time
 // validation with query-shape diagnostics, the structural plan
-// self-check, build-pipeline caching across the degradation ladder, and
-// the JSON dump.
+// self-check, build-pipeline caching across the degradation ladder, the
+// JSON dump, and the block probe kernel against a tuple-at-a-time
+// reference.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
+#include <numeric>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +32,7 @@
 #include "plan/compiler.h"
 #include "plan/dump.h"
 #include "plan/executor.h"
+#include "plan/operators.h"
 #include "plan/plan.h"
 #include "plan/q6_bridge.h"
 
@@ -786,6 +794,219 @@ TEST_F(ShardedMeshTest, ShardedDumpCarriesDeviceSetsAndExchange) {
       << single_json;
   EXPECT_NE(single_json.find("\"routes\":[]"), std::string::npos)
       << single_json;
+}
+
+
+// ---------------------------------------------------------------------
+// Probe kernel: ProcessRange/ProcessIndices against a tuple-at-a-time
+// reference, bit for bit on rows and sum.
+
+/// The reference pipeline: every tuple through the filters in order with
+/// early exit, then the semi-join probes in order, then the aggregate.
+void ReferenceTuple(const BoundProbe& bound, std::size_t i,
+                    std::uint64_t* rows, std::int64_t* sum) {
+  for (const BoundFilter& filter : bound.filters) {
+    if (!ops::Compare(filter.op, filter.column[i], filter.literal)) return;
+  }
+  for (const BoundProbeStep& probe : bound.probes) {
+    if (!probe.table->Contains(probe.keys[i])) return;
+  }
+  ++*rows;
+  *sum += bound.measure[i];
+}
+
+class ProbeKernelTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kFactRows = 4'500;
+  static constexpr std::int64_t kKeyDomain = 2'000;
+  static constexpr std::size_t kColumns = 3;
+
+  /// Seeded random fact columns (small filter domains, so every operator
+  /// sees mixed selectivity; probe keys partly outside the dimension key
+  /// domain and negative) and, per probe column, a perfect and a
+  /// linear-probing table over the same random key subset.
+  void Generate(std::uint32_t seed) {
+    std::mt19937_64 rng(seed);
+    measure_.resize(kFactRows);
+    for (std::int64_t& value : measure_) {
+      value = std::uniform_int_distribution<std::int64_t>(-1'000'000,
+                                                          1'000'000)(rng);
+    }
+    for (std::size_t c = 0; c < kColumns; ++c) {
+      filter_columns_[c].resize(kFactRows);
+      for (std::int64_t& value : filter_columns_[c]) {
+        value = std::uniform_int_distribution<std::int64_t>(0, 9)(rng);
+      }
+      key_columns_[c].resize(kFactRows);
+      for (std::int64_t& value : key_columns_[c]) {
+        value = std::uniform_int_distribution<std::int64_t>(
+            -2, kKeyDomain + 8)(rng);
+      }
+      std::vector<std::int64_t> keys(kKeyDomain);
+      std::iota(keys.begin(), keys.end(), 0);
+      std::shuffle(keys.begin(), keys.end(), rng);
+      keys.resize(kKeyDomain / (c + 2));
+      const std::int64_t max_key = *std::max_element(keys.begin(), keys.end());
+      dimensions_[c] = engine::Table();
+      ASSERT_TRUE(dimensions_[c].AddColumn("key", std::move(keys)).ok());
+      for (const HashTableKind kind :
+           {HashTableKind::kPerfect, HashTableKind::kLinearProbing}) {
+        BuildPipeline build;
+        build.dimension = &dimensions_[c];
+        build.key_column = "key";
+        build.keys.max_key = max_key;
+        build.table_kind = kind;
+        auto table = DimensionTable::Build(build);
+        ASSERT_TRUE(table.ok()) << table.status().ToString();
+        tables_[c][kind == HashTableKind::kPerfect ? 0 : 1] =
+            std::make_unique<DimensionTable>(std::move(table).value());
+      }
+    }
+  }
+
+  /// A pipeline with `filters` filters (the first compares with
+  /// kAllOps[first_op], the rest step through the other operators) and
+  /// `probes` probes whose table kinds alternate starting from
+  /// `first_kind`.
+  BoundProbe Bind(std::size_t filters, std::size_t first_op,
+                  std::size_t probes, std::size_t first_kind) const {
+    BoundProbe bound;
+    bound.measure = measure_.data();
+    for (std::size_t f = 0; f < filters; ++f) {
+      bound.filters.push_back(
+          BoundFilter{filter_columns_[f].data(),
+                      kAllOps[(first_op + 2 * f) % kAllOps.size()],
+                      static_cast<std::int64_t>(3 + f)});
+    }
+    for (std::size_t p = 0; p < probes; ++p) {
+      bound.probes.push_back(BoundProbeStep{
+          key_columns_[p].data(), tables_[p][(first_kind + p) % 2].get()});
+    }
+    return bound;
+  }
+
+  static void ExpectRangeMatches(const BoundProbe& bound, std::size_t begin,
+                                 std::size_t end, const std::string& label) {
+    std::uint64_t rows = 5;
+    std::int64_t sum = -17;
+    std::uint64_t want_rows = 5;
+    std::int64_t want_sum = -17;
+    ProcessRange(bound, begin, end, &rows, &sum);
+    for (std::size_t i = begin; i < end; ++i) {
+      ReferenceTuple(bound, i, &want_rows, &want_sum);
+    }
+    EXPECT_EQ(rows, want_rows) << label;
+    EXPECT_EQ(sum, want_sum) << label;
+  }
+
+  static void ExpectIndicesMatch(const BoundProbe& bound,
+                                 const std::vector<std::uint32_t>& indices,
+                                 const std::string& label) {
+    std::uint64_t rows = 5;
+    std::int64_t sum = -17;
+    std::uint64_t want_rows = 5;
+    std::int64_t want_sum = -17;
+    ProcessIndices(bound, indices.data(), indices.size(), &rows, &sum);
+    for (const std::uint32_t i : indices) {
+      ReferenceTuple(bound, i, &want_rows, &want_sum);
+    }
+    EXPECT_EQ(rows, want_rows) << label;
+    EXPECT_EQ(sum, want_sum) << label;
+  }
+
+  static constexpr std::array<ops::CompareOp, 6> kAllOps = {
+      ops::CompareOp::kLt, ops::CompareOp::kLe, ops::CompareOp::kEq,
+      ops::CompareOp::kGe, ops::CompareOp::kGt, ops::CompareOp::kNe};
+  static constexpr std::size_t kBegins[] = {0, 7, 1'100};
+  static constexpr std::size_t kLengths[] = {0, 1, 1'023, 1'024, 1'025,
+                                             3'000};
+
+  std::vector<std::int64_t> measure_;
+  std::array<std::vector<std::int64_t>, kColumns> filter_columns_;
+  std::array<std::vector<std::int64_t>, kColumns> key_columns_;
+  std::array<engine::Table, kColumns> dimensions_;
+  std::array<std::array<std::unique_ptr<DimensionTable>, 2>, kColumns>
+      tables_;
+};
+
+TEST_F(ProbeKernelTest, RangesMatchTupleAtATimeReference) {
+  for (const std::uint32_t seed : {1u, 2u, 3u}) {
+    Generate(seed);
+    for (std::size_t filters = 0; filters <= kColumns; ++filters) {
+      for (std::size_t probes = 0; probes <= kColumns; ++probes) {
+        for (std::size_t o = 0; o < kAllOps.size(); ++o) {
+          const BoundProbe bound = Bind(filters, o, probes, o % 2);
+          for (const std::size_t begin : kBegins) {
+            for (const std::size_t length : kLengths) {
+              ExpectRangeMatches(
+                  bound, begin, begin + length,
+                  "seed " + std::to_string(seed) + " filters " +
+                      std::to_string(filters) + " probes " +
+                      std::to_string(probes) + " op " + std::to_string(o) +
+                      " range [" + std::to_string(begin) + ", +" +
+                      std::to_string(length) + ")");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ProbeKernelTest, AllFilteredAndUnfilteredRanges) {
+  Generate(4);
+  // A filter nothing passes, alone and in front of probes.
+  for (std::size_t probes = 0; probes <= kColumns; ++probes) {
+    BoundProbe bound = Bind(0, 0, probes, 0);
+    bound.filters.push_back(BoundFilter{
+        filter_columns_[0].data(), ops::CompareOp::kLt,
+        std::numeric_limits<std::int64_t>::min()});
+    std::uint64_t rows = 0;
+    std::int64_t sum = 0;
+    ProcessRange(bound, 0, kFactRows, &rows, &sum);
+    EXPECT_EQ(rows, 0u);
+    EXPECT_EQ(sum, 0);
+    // A later filter that rejects everything the first one kept.
+    bound = Bind(1, 0, probes, 1);
+    bound.filters.push_back(BoundFilter{filter_columns_[0].data(),
+                                        ops::CompareOp::kGe, 3});
+    ExpectRangeMatches(bound, 0, kFactRows, "contradictory filters");
+  }
+  // No filters and no probes: every tuple qualifies.
+  const BoundProbe everything = Bind(0, 0, 0, 0);
+  std::uint64_t rows = 0;
+  std::int64_t sum = 0;
+  ProcessRange(everything, 3, kFactRows, &rows, &sum);
+  EXPECT_EQ(rows, kFactRows - 3);
+  EXPECT_EQ(sum, std::accumulate(measure_.begin() + 3, measure_.end(),
+                                 std::int64_t{0}));
+}
+
+TEST_F(ProbeKernelTest, IndexListsMatchTupleAtATimeReference) {
+  for (const std::uint32_t seed : {5u, 6u}) {
+    Generate(seed);
+    std::vector<std::uint32_t> all(kFactRows);
+    std::iota(all.begin(), all.end(), 0u);
+    std::mt19937_64 rng(seed);
+    std::shuffle(all.begin(), all.end(), rng);
+    for (std::size_t filters = 0; filters <= kColumns; ++filters) {
+      for (std::size_t probes = 0; probes <= kColumns; ++probes) {
+        for (std::size_t o = 0; o < kAllOps.size(); ++o) {
+          const BoundProbe bound = Bind(filters, o, probes, o % 2);
+          for (const std::size_t length : kLengths) {
+            const std::vector<std::uint32_t> subset(all.begin(),
+                                                    all.begin() + length);
+            ExpectIndicesMatch(
+                bound, subset,
+                "seed " + std::to_string(seed) + " filters " +
+                    std::to_string(filters) + " probes " +
+                    std::to_string(probes) + " op " + std::to_string(o) +
+                    " indices " + std::to_string(length));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
