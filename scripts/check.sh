@@ -5,6 +5,7 @@
 #      interleaved fallback paths stay covered on AVX2 hosts
 #   2. ASan+UBSan build, all tests       (build-asan,  PUMP_SANITIZE=address)
 #   3. TSan build, concurrency tests     (build-tsan,  PUMP_SANITIZE=thread)
+#      and the parallel dimension-table build tests repeated 10 times,
 #      plus the servebench --quick --soak fault sweep (concurrent
 #      queries, poison, deadlines, cancels; zero hung/lost queries),
 #      the deterministic concurrency verifier (build-verify,
@@ -92,6 +93,12 @@ configure_and_test build-asan "address" ""
 #    trace rings + counters hammered from all executor workers).
 configure_and_test build-tsan "thread" \
   "exec_test|executor_test|engine_test|fault_test|failure_test|integration_test|obs_test|plan_test|server_test|simd_test"
+
+# 3a. The parallel dimension-table build's concurrent bitset and
+#     linear-probing inserts, repeated so TSan sees many interleavings.
+say "TSan: DimensionTableBuildTest x10 (parallel dimension-table build)"
+./build-tsan/tests/plan_test --gtest_filter='DimensionTableBuildTest.*' \
+    --gtest_repeat=10
 
 TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT

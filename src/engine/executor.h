@@ -22,7 +22,8 @@ struct ExecReport;
 
 /// Options for a fault-aware execution (Executor::RunResilient).
 struct ExecOptions {
-  /// Worker threads of the CPU probe pipeline (and the CPU fallback plan).
+  /// Worker threads of the CPU probe pipeline, the dimension-table builds
+  /// and the CPU fallback plan.
   std::size_t workers = 1;
   /// Attempt the GPU-placed plan first; fall back to the CPU plan on an
   /// unrecoverable fault. When false, only the CPU plan runs.
@@ -37,7 +38,7 @@ struct ExecOptions {
   std::uint64_t chunk_bytes = 64 * 1024;
   /// Modelled OS page size of the transfers.
   std::uint64_t os_page_bytes = 4 * 1024;
-  /// Morsel granularity of the heterogeneous probe.
+  /// Morsel granularity of the probe pipelines and dimension-table builds.
   std::size_t morsel_tuples = exec::kDefaultMorselTuples;
   /// Cooperative cancellation/deadline token, polled at morsel-claim
   /// granularity by every pipeline loop: a cancelled or deadline-expired

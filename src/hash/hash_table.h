@@ -177,16 +177,6 @@ class PerfectHashTable {
     return true;
   }
 
-  /// Prefetches the key slot `key` would probe, for callers that keep
-  /// their own lookups in flight (plan/operators.cc). No-op outside the
-  /// key domain.
-  void Prefetch(K key) const {
-    if (key < 0 || static_cast<std::size_t>(key) >= storage_.capacity()) {
-      return;
-    }
-    storage_.PrefetchKey(static_cast<std::size_t>(PerfectHash(key)));
-  }
-
   /// Batched probe: resolves `count` keys, setting `found[i]` and (on a
   /// match) `values[i]`; returns the match count. Bit-identical results
   /// to calling Lookup per key. Dispatches at runtime between the
@@ -319,21 +309,18 @@ class LinearProbingHashTable {
 
   /// Looks up `key`; returns true and sets *value on a match.
   bool Lookup(K key, V* value) const {
-    std::size_t slot = HashKey(key) & mask_;
-    for (std::size_t probes = 0; probes <= mask_; ++probes) {
-      const K stored = storage_.key(slot).load(std::memory_order_acquire);
-      if (stored == kEmptySlot<K>) return false;
-      if (stored == key) {
-        *value = storage_.value(slot);
-        return true;
-      }
-      slot = (slot + 1) & mask_;
-    }
-    return false;
+    const std::size_t slot = Find(key);
+    if (slot > mask_) return false;
+    *value = storage_.value(slot);
+    return true;
   }
 
-  /// Prefetches the first bucket `key` would probe (see
-  /// PerfectHashTable::Prefetch).
+  /// True when `key` is in the table — Lookup without the value load,
+  /// for semi-join membership tests.
+  bool Contains(K key) const { return Find(key) <= mask_; }
+
+  /// Prefetches the first bucket `key` would probe, for callers that keep
+  /// their own lookups in flight (plan/operators.cc).
   void Prefetch(K key) const { storage_.PrefetchKey(HashKey(key) & mask_); }
 
   /// Batched probe (see PerfectHashTable::ProbeBatch): dispatches at
@@ -400,6 +387,19 @@ class LinearProbingHashTable {
   }
 
  private:
+  /// The slot holding `key`: walks the probe chain until the key or an
+  /// empty slot. Returns capacity() when `key` is absent.
+  std::size_t Find(K key) const {
+    std::size_t slot = HashKey(key) & mask_;
+    for (std::size_t probes = 0; probes <= mask_; ++probes) {
+      const K stored = storage_.key(slot).load(std::memory_order_acquire);
+      if (stored == kEmptySlot<K>) break;
+      if (stored == key) return slot;
+      slot = (slot + 1) & mask_;
+    }
+    return mask_ + 1;
+  }
+
   TableStorage<K, V> storage_;
   std::size_t mask_;
 };

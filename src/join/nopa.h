@@ -35,30 +35,14 @@ template <typename Table, typename K, typename V>
 Status BuildPhase(Table* table, const data::Relation<K, V>& inner,
                   std::size_t workers,
                   std::size_t morsel_tuples = exec::kDefaultMorselTuples) {
-  exec::WorkStealingDispatcher dispatcher(inner.size(), morsel_tuples,
-                                          workers);
-  std::atomic<bool> failed{false};
-  Status first_error;  // Written by at most one worker (guarded by CAS).
-  std::atomic<bool> error_claimed{false};
-
-  exec::ParallelFor(workers, [&](std::size_t w) {
-    while (auto morsel = dispatcher.Next(w)) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      for (std::size_t i = morsel->begin; i < morsel->end; ++i) {
-        Status status = table->Insert(inner.keys[i], inner.payloads[i]);
-        if (!status.ok()) {
-          bool expected = false;
-          if (error_claimed.compare_exchange_strong(expected, true)) {
-            first_error = std::move(status);
-          }
-          failed.store(true, std::memory_order_relaxed);
-          return;
+  return exec::ForEachMorsel(
+      inner.size(), morsel_tuples, workers,
+      [&](std::size_t, exec::Morsel morsel) {
+        for (std::size_t i = morsel.begin; i < morsel.end; ++i) {
+          PUMP_RETURN_NOT_OK(table->Insert(inner.keys[i], inner.payloads[i]));
         }
-      }
-    }
-  });
-  if (failed.load()) return first_error;
-  return Status::OK();
+        return Status::OK();
+      });
 }
 
 /// Probes `keys[begin, end)` against `table`, adding matches and payload

@@ -60,7 +60,8 @@ std::string BuildCache::KeyFor(const BuildPipeline& build) {
 }
 
 Result<std::shared_ptr<const DimensionTable>> BuildCache::GetOrBuild(
-    const BuildPipeline& build, bool* hit) {
+    const BuildPipeline& build, bool* hit, std::size_t workers,
+    std::size_t morsel_tuples) {
   if (hit != nullptr) *hit = false;
   const std::string key = KeyFor(build);
   std::shared_ptr<Flight> flight;
@@ -101,7 +102,8 @@ Result<std::shared_ptr<const DimensionTable>> BuildCache::GetOrBuild(
   PUMP_TRACE_SPAN(obs::TraceCategory::kPlan, "cache.build",
                   static_cast<double>(build.keys.rows),
                   static_cast<double>(build.table_bytes));
-  Result<DimensionTable> built = DimensionTable::Build(build);
+  Result<DimensionTable> built =
+      DimensionTable::Build(build, workers, morsel_tuples);
   Result<std::shared_ptr<const DimensionTable>> result =
       built.ok()
           ? Result<std::shared_ptr<const DimensionTable>>(

@@ -1,6 +1,7 @@
 #ifndef PUMP_PLAN_BUILD_CACHE_H_
 #define PUMP_PLAN_BUILD_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/morsel.h"
 #include "plan/operators.h"
 #include "plan/plan.h"
 #include "verify/sync.h"
@@ -62,10 +64,14 @@ class BuildCache {
   BuildCache& operator=(const BuildCache&) = delete;
 
   /// Returns the cached table for `build`, building it (once, whatever
-  /// the concurrency) on a miss. `hit`, when non-null, reports whether
-  /// the table came from cache (true) or this call built/awaited it.
+  /// the concurrency) on a miss with `workers` workers claiming morsels of
+  /// `morsel_tuples` rows (DimensionTable::Build; the table does not
+  /// depend on either). `hit`, when non-null, reports whether the table
+  /// came from cache (true) or this call built/awaited it.
   Result<std::shared_ptr<const DimensionTable>> GetOrBuild(
-      const BuildPipeline& build, bool* hit = nullptr);
+      const BuildPipeline& build, bool* hit = nullptr,
+      std::size_t workers = 1,
+      std::size_t morsel_tuples = exec::kDefaultMorselTuples);
 
   /// Drops every resident entry (in-flight builds are unaffected).
   void Clear();

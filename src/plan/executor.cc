@@ -111,7 +111,8 @@ using TableHandles = std::vector<std::shared_ptr<const DimensionTable>>;
 /// BuildCache in the options, builds are further deduplicated *across*
 /// queries: a cache hit reuses a sibling query's table (reported as
 /// dim_tables_reused), a miss builds through the cache's single-flight
-/// slot. GPU-placed builds model their device allocation (spilling on
+/// slot. A build runs morsel-parallel with the query's workers and morsel
+/// size. GPU-placed builds model their device allocation (spilling on
 /// injected OOM); a build that cannot obtain any device placement is
 /// re-placed on the CPU without discarding the functional table.
 Result<TableHandles> RunBuildPipelines(
@@ -132,9 +133,12 @@ Result<TableHandles> RunBuildPipelines(
     std::shared_ptr<const DimensionTable> table;
     if (options.build_cache != nullptr) {
       PUMP_ASSIGN_OR_RETURN(
-          table, options.build_cache->GetOrBuild(build, &cache_hit));
+          table, options.build_cache->GetOrBuild(build, &cache_hit,
+                                                 options.workers,
+                                                 options.morsel_tuples));
     } else {
-      Result<DimensionTable> built = DimensionTable::Build(build);
+      Result<DimensionTable> built =
+          DimensionTable::Build(build, options.workers, options.morsel_tuples);
       PUMP_RETURN_NOT_OK(built.status());
       table =
           std::make_shared<const DimensionTable>(std::move(built).value());

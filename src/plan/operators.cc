@@ -1,48 +1,13 @@
 #include "plan/operators.h"
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
+#include "exec/parallel.h"
 #include "obs/trace.h"
 
 namespace pump::plan {
-
-Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build) {
-  PUMP_ASSIGN_OR_RETURN(const auto* keys,
-                        build.dimension->Column(build.key_column));
-  PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.build",
-                  static_cast<double>(keys->size()),
-                  static_cast<double>(static_cast<int>(build.table_kind)));
-  const std::vector<std::int64_t>* filter_column = nullptr;
-  if (build.has_dim_filter) {
-    PUMP_ASSIGN_OR_RETURN(filter_column,
-                          build.dimension->Column(build.dim_filter.column));
-  }
-
-  DimensionTable table;
-  table.kind_ = build.table_kind;
-  if (build.table_kind == HashTableKind::kLinearProbing) {
-    table.linear_.emplace(std::max<std::size_t>(1, keys->size()));
-  } else {
-    // Perfect (and hybrid, whose probe layout is the same perfect table):
-    // slot = key over the dense domain [0, max_key].
-    table.perfect_.emplace(static_cast<std::size_t>(build.keys.max_key + 1));
-  }
-
-  for (std::size_t i = 0; i < keys->size(); ++i) {
-    if (filter_column != nullptr &&
-        !ops::Compare(build.dim_filter.op, (*filter_column)[i],
-                      build.dim_filter.literal)) {
-      continue;
-    }
-    if (table.perfect_.has_value()) {
-      PUMP_RETURN_NOT_OK(table.perfect_->Insert((*keys)[i], 1));
-    } else {
-      PUMP_RETURN_NOT_OK(table.linear_->Insert((*keys)[i], 1));
-    }
-    ++table.entries_;
-  }
-  return table;
-}
 
 Result<BoundProbe> BindProbe(
     const PhysicalPlan& plan,
@@ -211,6 +176,69 @@ void ProcessBlock(const BoundProbe& bound, std::size_t base,
 }
 
 }  // namespace
+
+Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build,
+                                             std::size_t workers,
+                                             std::size_t morsel_tuples) {
+  PUMP_ASSIGN_OR_RETURN(const auto* keys,
+                        build.dimension->Column(build.key_column));
+  PUMP_TRACE_SPAN(obs::TraceCategory::kHash, "hash.build",
+                  static_cast<double>(keys->size()),
+                  static_cast<double>(static_cast<int>(build.table_kind)));
+  std::optional<BoundFilter> filter;
+  if (build.has_dim_filter) {
+    PUMP_ASSIGN_OR_RETURN(const auto* column,
+                          build.dimension->Column(build.dim_filter.column));
+    filter = BoundFilter{column->data(), build.dim_filter.op,
+                         build.dim_filter.literal};
+  }
+
+  DimensionTable table;
+  table.kind_ = build.table_kind;
+  if (build.table_kind == HashTableKind::kLinearProbing) {
+    table.linear_.emplace(std::max<std::size_t>(1, keys->size()));
+  } else {
+    // Dense kinds: one bit per key of [0, max_key].
+    table.dense_ = KeyBitset(static_cast<std::size_t>(build.keys.max_key + 1));
+  }
+  const auto insert_selected = [&table](const std::int64_t* block,
+                                        const std::uint32_t* sel,
+                                        std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      PUMP_RETURN_NOT_OK(table.linear_.has_value()
+                             ? table.linear_->Insert(block[sel[k]], 1)
+                             : table.dense_.Insert(block[sel[k]]));
+    }
+    return Status::OK();
+  };
+
+  std::vector<std::size_t> inserted(std::max<std::size_t>(1, workers), 0);
+  PUMP_RETURN_NOT_OK(exec::ForEachMorsel(
+      keys->size(), morsel_tuples, workers,
+      [&](std::size_t worker, exec::Morsel morsel) {
+        std::uint32_t sel[kBlockTuples];
+        for (std::size_t base = morsel.begin; base < morsel.end;
+             base += kBlockTuples) {
+          const std::size_t count = std::min(kBlockTuples, morsel.end - base);
+          // Selects absolute rows. A source unlike ProcessRange's block
+          // offsets keeps the probe's SelectFilter single-use, so it stays
+          // inlined in ProcessBlock (sharing it cost ~8% ssb-cpu-c1 qps).
+          const auto row = [base](std::size_t k) {
+            return static_cast<std::uint32_t>(base + k);
+          };
+          const std::size_t n =
+              filter.has_value()
+                  ? SelectFilter(*filter, filter->column, count, row, sel)
+                  : Select(count, row, [](std::uint32_t) { return true; },
+                           sel);
+          PUMP_RETURN_NOT_OK(insert_selected(keys->data(), sel, n));
+          inserted[worker] += n;
+        }
+        return Status::OK();
+      }));
+  for (const std::size_t n : inserted) table.entries_ += n;
+  return table;
+}
 
 void ProcessRange(const BoundProbe& bound, std::size_t begin,
                   std::size_t end, std::uint64_t* rows, std::int64_t* sum) {

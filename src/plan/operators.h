@@ -1,6 +1,8 @@
 #ifndef PUMP_PLAN_OPERATORS_H_
 #define PUMP_PLAN_OPERATORS_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -9,38 +11,55 @@
 #include <vector>
 
 #include "common/status.h"
+#include "exec/morsel.h"
 #include "hash/hash_table.h"
 #include "plan/plan.h"
 
 namespace pump::plan {
 
 /// The built semi-join table of one build pipeline: the functional host
-/// table behind the plan's modelled placement, wrapping whichever table
-/// kind the compiler selected. Qualifying dimension keys map to 1
-/// (semi-join semantics; the measure lives in the fact table). The
-/// kHybrid kind probes through the same perfect-hash layout — the hybrid
-/// part is the modelled GPU/CPU split of its backing buffer, which the
-/// plan executor accounts separately.
+/// structure behind the plan's modelled table. The semi-join probe only
+/// asks whether a fact key has a qualifying dimension row, so the table
+/// stores key membership and nothing else (the measure lives in the fact
+/// table).
+///
+/// For the dense kinds (kPerfect, and kHybrid, whose hybrid part is the
+/// modelled GPU/CPU split of its backing buffer) that is a bitset over
+/// [0, max_key], one bit per key: a perfect hash whose slot is a bit.
+/// The linear-probing kind keeps its hash table. Only the functional
+/// layout is compact: the plan still sizes, places, costs and caches the
+/// paper's 16 B/slot table (TableBytes in plan/compiler.cc), because that
+/// is the table the modelled GPU holds and the cost model prices.
+///
+/// Build runs the dimension scan the way the probe runs the fact scan:
+/// morsel-parallel over the query's workers (exec::ForEachMorsel, whose
+/// join is the build/probe barrier), a block of up to 1024 rows at a time,
+/// with the dimension filter compacting a selection vector branch-free
+/// and only its survivors inserted. Inserts are atomic (a relaxed
+/// fetch_or per bit, a CAS per linear-probing slot), so the table is the
+/// same whatever the schedule.
 class DimensionTable {
  public:
   /// Builds the table from the pipeline's dimension column (applying the
-  /// dimension filter, if any). Fails with AlreadyExists on duplicate
-  /// keys, like the reference executor.
-  static Result<DimensionTable> Build(const BuildPipeline& build);
+  /// dimension filter, if any) with `workers` workers claiming morsels of
+  /// `morsel_tuples` rows. Fails with AlreadyExists on duplicate keys,
+  /// like the reference executor, and with InvalidArgument on a key
+  /// outside a dense kind's [0, max_key].
+  static Result<DimensionTable> Build(
+      const BuildPipeline& build, std::size_t workers = 1,
+      std::size_t morsel_tuples = exec::kDefaultMorselTuples);
 
   /// True when `key` was inserted — the semi-join probe.
   bool Contains(std::int64_t key) const {
-    std::int64_t ignored;
-    if (perfect_.has_value()) return perfect_->Lookup(key, &ignored);
-    return linear_->Lookup(key, &ignored);
+    return linear_.has_value() ? linear_->Contains(key) : dense_.Contains(key);
   }
 
-  /// Prefetches the slot a Contains(key) would read first.
+  /// Prefetches the word or slot a Contains(key) would read first.
   void Prefetch(std::int64_t key) const {
-    if (perfect_.has_value()) {
-      perfect_->Prefetch(key);
-    } else {
+    if (linear_.has_value()) {
       linear_->Prefetch(key);
+    } else {
+      dense_.Prefetch(key);
     }
   }
 
@@ -50,14 +69,57 @@ class DimensionTable {
   std::size_t entries() const { return entries_; }
 
  private:
-  using Perfect = hash::PerfectHashTable<std::int64_t, std::int64_t>;
   using Linear = hash::LinearProbingHashTable<std::int64_t, std::int64_t>;
+
+  /// Key membership over the dense domain [0, domain): bit `key` of a
+  /// word array.
+  class KeyBitset {
+   public:
+    KeyBitset() = default;
+    explicit KeyBitset(std::size_t domain)
+        : domain_(domain),
+          words_(std::make_unique<std::atomic<std::uint64_t>[]>(
+              (domain + 63) / 64)) {}
+
+    /// Sets bit `key`. Thread-safe against concurrent inserts; reads need
+    /// the build/probe barrier. Fails like PerfectHashTable::Insert.
+    Status Insert(std::int64_t key) {
+      if (!InDomain(key)) {
+        return Status::InvalidArgument("key outside perfect-hash domain");
+      }
+      const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+      if ((words_[key >> 6].fetch_or(bit, std::memory_order_relaxed) & bit) !=
+          0) {
+        return Status::AlreadyExists("duplicate key in perfect hash table");
+      }
+      return Status::OK();
+    }
+
+    bool Contains(std::int64_t key) const {
+      return InDomain(key) &&
+             ((words_[key >> 6].load(std::memory_order_relaxed) >>
+               (key & 63)) &
+              1) != 0;
+    }
+
+    void Prefetch(std::int64_t key) const {
+      if (InDomain(key)) hash::PrefetchRead(&words_[key >> 6]);
+    }
+
+   private:
+    bool InDomain(std::int64_t key) const {
+      return key >= 0 && static_cast<std::uint64_t>(key) < domain_;
+    }
+
+    std::uint64_t domain_ = 0;
+    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+  };
 
   DimensionTable() = default;
 
   HashTableKind kind_ = HashTableKind::kLinearProbing;
   std::size_t entries_ = 0;
-  std::optional<Perfect> perfect_;
+  KeyBitset dense_;
   std::optional<Linear> linear_;
 };
 

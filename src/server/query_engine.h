@@ -147,7 +147,7 @@ struct EngineOptions {
 
 /// Per-query knobs.
 struct SubmitOptions {
-  /// CPU probe workers for this query.
+  /// CPU workers for this query's probe and dimension-table builds.
   std::size_t workers = 2;
   /// Wall-clock deadline measured from Submit (queue wait counts against
   /// it, like any SLO). 0 = none. An expired deadline cancels the query
@@ -161,7 +161,7 @@ struct SubmitOptions {
   /// Scope string for the engine's server.admission / server.cancel
   /// failpoint streams (deterministic per-tag schedules).
   std::string tag;
-  /// Morsel granularity of the probe pipelines.
+  /// Morsel granularity of the probe and build pipelines.
   std::size_t morsel_tuples = exec::kDefaultMorselTuples;
 };
 

@@ -264,6 +264,8 @@ TEST(LinearProbingTest, HandlesCollisionsViaProbing) {
     std::int64_t value = -1;
     ASSERT_TRUE(table.Lookup(key * 1000 + 3, &value));
     EXPECT_EQ(value, key);
+    EXPECT_TRUE(table.Contains(key * 1000 + 3));
+    EXPECT_FALSE(table.Contains(key * 1000 + 4));
   }
 }
 
@@ -273,6 +275,10 @@ TEST(LinearProbingTest, FullTableReportsOutOfMemory) {
   ASSERT_TRUE(table.Insert(1, 1).ok());
   ASSERT_TRUE(table.Insert(2, 2).ok());
   EXPECT_EQ(table.Insert(3, 3).code(), StatusCode::kOutOfMemory);
+  // Every slot, the last one included, holds a key; a miss walks them all.
+  EXPECT_TRUE(table.Contains(1));
+  EXPECT_TRUE(table.Contains(2));
+  EXPECT_FALSE(table.Contains(3));
 }
 
 TEST(LinearProbingTest, NonDenseKeys) {

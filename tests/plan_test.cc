@@ -4,8 +4,9 @@
 // faults), the compiler's hash-table/placement choices, compile-time
 // validation with query-shape diagnostics, the structural plan
 // self-check, build-pipeline caching across the degradation ladder, the
-// JSON dump, and the block probe kernel against a tuple-at-a-time
-// reference.
+// JSON dump, the block probe kernel against a tuple-at-a-time
+// reference, and the parallel dimension-table build against a std::set
+// oracle.
 
 #include <algorithm>
 #include <array>
@@ -14,7 +15,9 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1007,6 +1010,187 @@ TEST_F(ProbeKernelTest, IndexListsMatchTupleAtATimeReference) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Dimension-table build: the dense-key bitset and the linear-probing
+// table, built block-wise over parallel morsels, against a std::set
+// oracle of the qualifying keys.
+
+class DimensionTableBuildTest : public ::testing::Test {
+ protected:
+  /// Morsels of 700 rows: every multi-morsel dimension below spans >= 4
+  /// morsels, and morsel edges fall inside 1024-row build blocks.
+  static constexpr std::size_t kMorselTuples = 700;
+  static constexpr std::size_t kWorkerCounts[] = {1, 2, 4};
+  static constexpr HashTableKind kKinds[] = {HashTableKind::kPerfect,
+                                             HashTableKind::kLinearProbing};
+  static constexpr std::array<ops::CompareOp, 6> kAllOps = {
+      ops::CompareOp::kLt, ops::CompareOp::kLe, ops::CompareOp::kEq,
+      ops::CompareOp::kGe, ops::CompareOp::kGt, ops::CompareOp::kNe};
+
+  /// Replaces the dimension with `keys` (shuffled by `seed`) and an
+  /// attribute column uniform in [0, 10).
+  void SetDimension(std::vector<std::int64_t> keys, std::uint32_t seed) {
+    std::mt19937_64 rng(seed);
+    std::shuffle(keys.begin(), keys.end(), rng);
+    std::vector<std::int64_t> attr(keys.size());
+    for (std::int64_t& value : attr) {
+      value = std::uniform_int_distribution<std::int64_t>(0, 9)(rng);
+    }
+    keys_ = keys;
+    attr_ = attr;
+    dimension_ = engine::Table();
+    ASSERT_TRUE(dimension_.AddColumn("key", std::move(keys)).ok());
+    ASSERT_TRUE(dimension_.AddColumn("attr", std::move(attr)).ok());
+  }
+
+  /// `rows` distinct keys from [0, domain) that always include the word
+  /// edges 0, 63, 64 and the domain's last key.
+  static std::vector<std::int64_t> RandomKeys(std::size_t rows,
+                                              std::int64_t domain,
+                                              std::uint32_t seed) {
+    std::vector<std::int64_t> rest;
+    for (std::int64_t key = 0; key < domain; ++key) {
+      if (key != 0 && key != 63 && key != 64 && key != domain - 1) {
+        rest.push_back(key);
+      }
+    }
+    std::mt19937_64 rng(seed);
+    std::shuffle(rest.begin(), rest.end(), rng);
+    std::vector<std::int64_t> keys = {0, 63, 64, domain - 1};
+    keys.insert(keys.end(), rest.begin(), rest.begin() + (rows - 4));
+    return keys;
+  }
+
+  /// The build pipeline the compiler would emit for the dimension (key
+  /// statistics over the whole key column), with an optional filter.
+  BuildPipeline Pipeline(HashTableKind kind,
+                         const std::optional<engine::Filter>& filter) const {
+    BuildPipeline build;
+    build.dimension = &dimension_;
+    build.key_column = "key";
+    build.table_kind = kind;
+    build.keys.rows = keys_.size();
+    if (!keys_.empty()) {
+      build.keys.max_key = *std::max_element(keys_.begin(), keys_.end());
+    }
+    if (filter.has_value()) {
+      build.dim_filter = *filter;
+      build.has_dim_filter = true;
+    }
+    return build;
+  }
+
+  /// Builds `build` at every worker count and compares entries() and
+  /// Contains(k) for every k in [-2, max_key + 2] with the oracle.
+  void ExpectMatchesOracle(const BuildPipeline& build,
+                           const std::string& label) const {
+    std::set<std::int64_t> oracle;
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      if (!build.has_dim_filter ||
+          ops::Compare(build.dim_filter.op, attr_[i],
+                       build.dim_filter.literal)) {
+        oracle.insert(keys_[i]);
+      }
+    }
+    for (const std::size_t workers : kWorkerCounts) {
+      const std::string where = label + " kind " +
+                                ToString(build.table_kind) + " workers " +
+                                std::to_string(workers);
+      Result<DimensionTable> table =
+          DimensionTable::Build(build, workers, kMorselTuples);
+      ASSERT_TRUE(table.ok()) << where << ": " << table.status().ToString();
+      EXPECT_EQ(table.value().kind(), build.table_kind) << where;
+      EXPECT_EQ(table.value().entries(), oracle.size()) << where;
+      for (std::int64_t key = -2; key <= build.keys.max_key + 2; ++key) {
+        ASSERT_EQ(table.value().Contains(key), oracle.count(key) == 1)
+            << where << " key " << key;
+      }
+    }
+  }
+
+  /// Builds `build` at every worker count and expects `code`.
+  static void ExpectBuildFails(const BuildPipeline& build, StatusCode code,
+                               const std::string& label) {
+    for (const std::size_t workers : kWorkerCounts) {
+      Result<DimensionTable> table =
+          DimensionTable::Build(build, workers, kMorselTuples);
+      ASSERT_FALSE(table.ok()) << label << " workers " << workers;
+      EXPECT_EQ(table.status().code(), code)
+          << label << " workers " << workers << ": "
+          << table.status().ToString();
+    }
+  }
+
+  std::vector<std::int64_t> keys_;
+  std::vector<std::int64_t> attr_;
+  engine::Table dimension_;
+};
+
+TEST_F(DimensionTableBuildTest, FilteredDimensionsMatchOracle) {
+  // Domains whose last key opens a word (4096), closes one (4095) or
+  // sits inside one (5000); 3000 rows = 5 morsels, 3 blocks.
+  for (const std::int64_t domain : {4095, 4096, 5000}) {
+    const auto seed = static_cast<std::uint32_t>(domain);
+    SetDimension(RandomKeys(3'000, domain, seed), seed);
+    for (const HashTableKind kind : kKinds) {
+      ExpectMatchesOracle(Pipeline(kind, std::nullopt),
+                          "domain " + std::to_string(domain) + " no filter");
+      for (const ops::CompareOp op : kAllOps) {
+        ExpectMatchesOracle(
+            Pipeline(kind, engine::Filter{"attr", op, 4}),
+            "domain " + std::to_string(domain) + " filter attr " +
+                ToString(op) + " 4");
+      }
+    }
+  }
+}
+
+TEST_F(DimensionTableBuildTest, EmptyOneRowAndAllFilteredDimensions) {
+  for (const HashTableKind kind : kKinds) {
+    SetDimension({}, 1);
+    ExpectMatchesOracle(Pipeline(kind, std::nullopt), "empty");
+    ExpectMatchesOracle(Pipeline(kind, engine::Filter{"attr",
+                                                      ops::CompareOp::kGe, 0}),
+                        "empty, filtered");
+    for (const std::int64_t key : {0, 63, 64}) {
+      SetDimension({key}, 2);
+      ExpectMatchesOracle(Pipeline(kind, std::nullopt),
+                          "one row, key " + std::to_string(key));
+    }
+    SetDimension(RandomKeys(3'000, 3'500, 3), 3);
+    const engine::Filter nothing{"attr", ops::CompareOp::kLt,
+                                 std::numeric_limits<std::int64_t>::min()};
+    ExpectMatchesOracle(Pipeline(kind, nothing), "all filtered");
+  }
+}
+
+TEST_F(DimensionTableBuildTest, DuplicateAcrossMorselsFailsAtEveryWorkerCount) {
+  // Rows 5 and 2'900 hold the same key: morsel 0 and morsel 4.
+  std::vector<std::int64_t> keys(3'000);
+  std::iota(keys.begin(), keys.end(), 0);
+  keys[2'900] = keys[5];
+  keys_ = keys;
+  dimension_ = engine::Table();
+  ASSERT_TRUE(dimension_.AddColumn("key", std::move(keys)).ok());
+  for (const HashTableKind kind : kKinds) {
+    ExpectBuildFails(Pipeline(kind, std::nullopt),
+                     StatusCode::kAlreadyExists,
+                     std::string("duplicate, kind ") + ToString(kind));
+  }
+}
+
+TEST_F(DimensionTableBuildTest, OutOfDomainKeyFailsOnDenseKind) {
+  SetDimension(RandomKeys(3'000, 3'000, 4), 4);
+  BuildPipeline build = Pipeline(HashTableKind::kPerfect, std::nullopt);
+  build.keys.max_key = 2'998;  // Key 2999 is the one key past the domain.
+  ExpectBuildFails(build, StatusCode::kInvalidArgument, "max_key + 1");
+  std::vector<std::int64_t> keys = RandomKeys(3'000, 3'000, 5);
+  keys[1'234] = -5;
+  SetDimension(keys, 5);
+  ExpectBuildFails(Pipeline(HashTableKind::kPerfect, std::nullopt),
+                   StatusCode::kInvalidArgument, "negative key");
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "hw/system_profile.h"
 #include "hw/topology.h"
 #include "obs/metrics.h"
+#include "ops/scan.h"
 #include "plan/build_cache.h"
 #include "plan/compiler.h"
 #include "server/query_engine.h"
@@ -776,6 +781,199 @@ TEST(QueryEngineTest, ConcurrentSubmittersAllResolve) {
                 kSubmitters * kPerSubmitter + 1);
       EXPECT_GE(stats.completed, kSubmitters * kPerSubmitter);
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// Star queries whose dimension builds span many morsels: the parallel
+// dimension-table build, solo on every placement and concurrently
+// through the serving engine, against a brute-force oracle.
+
+constexpr std::size_t kStarDimRows = 20'000;
+/// 10 build morsels per dimension (and 15 probe morsels).
+constexpr std::size_t kStarMorselTuples = 2'000;
+
+struct StarFixture {
+  /// Dense keys 0..19'999, shuffled: the perfect (bitset) kind.
+  engine::Table dense_dim;
+  /// Sparse keys 1'000 k + 7: the linear-probing kind.
+  engine::Table sparse_dim;
+  engine::Table fact;
+  /// Filter variants over both dimensions, and their oracle results.
+  std::vector<engine::Query> queries;
+  std::vector<engine::QueryResult> expected;
+};
+
+/// Brute force: qualifying dimension keys into std::sets, then every fact
+/// row through every join in turn.
+engine::QueryResult StarOracle(const engine::Query& query) {
+  std::vector<std::set<std::int64_t>> members;
+  std::vector<const std::vector<std::int64_t>*> fact_keys;
+  for (const engine::JoinClause& join : query.joins) {
+    const std::vector<std::int64_t>& keys =
+        *join.dimension->Column(join.dim_key_column).value();
+    const std::vector<std::int64_t>& attr =
+        *join.dimension->Column(join.dim_filter.column).value();
+    std::set<std::int64_t> qualifying;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (ops::Compare(join.dim_filter.op, attr[i], join.dim_filter.literal)) {
+        qualifying.insert(keys[i]);
+      }
+    }
+    members.push_back(std::move(qualifying));
+    fact_keys.push_back(query.fact->Column(join.fact_key_column).value());
+  }
+  const std::vector<std::int64_t>& measure =
+      *query.fact->Column(query.measure_column).value();
+  engine::QueryResult result;
+  for (std::size_t row = 0; row < measure.size(); ++row) {
+    bool keep = true;
+    for (std::size_t j = 0; j < members.size() && keep; ++j) {
+      keep = members[j].count((*fact_keys[j])[row]) == 1;
+    }
+    if (keep) {
+      ++result.rows;
+      result.sum += measure[row];
+    }
+  }
+  return result;
+}
+
+const StarFixture& Star() {
+  static const StarFixture* fixture = [] {
+    auto* f = new StarFixture();
+    std::mt19937_64 rng(15);
+    auto uniform = [&rng](std::int64_t lo, std::int64_t hi) {
+      return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    std::vector<std::int64_t> dense_keys(kStarDimRows);
+    std::iota(dense_keys.begin(), dense_keys.end(), 0);
+    std::shuffle(dense_keys.begin(), dense_keys.end(), rng);
+    std::vector<std::int64_t> sparse_keys(kStarDimRows);
+    for (std::size_t k = 0; k < kStarDimRows; ++k) {
+      sparse_keys[k] = static_cast<std::int64_t>(k) * 1'000 + 7;
+    }
+    std::vector<std::int64_t> dense_attr(kStarDimRows);
+    std::vector<std::int64_t> sparse_attr(kStarDimRows);
+    for (std::size_t k = 0; k < kStarDimRows; ++k) {
+      dense_attr[k] = uniform(0, 99);
+      sparse_attr[k] = uniform(0, 9);
+    }
+    EXPECT_TRUE(f->dense_dim.AddColumn("pk", std::move(dense_keys)).ok());
+    EXPECT_TRUE(f->dense_dim.AddColumn("attr", std::move(dense_attr)).ok());
+    EXPECT_TRUE(f->sparse_dim.AddColumn("pk", std::move(sparse_keys)).ok());
+    EXPECT_TRUE(
+        f->sparse_dim.AddColumn("attr", std::move(sparse_attr)).ok());
+
+    constexpr std::size_t kFactRows = 30'000;
+    std::vector<std::int64_t> dense_fk(kFactRows);
+    std::vector<std::int64_t> sparse_fk(kFactRows);
+    std::vector<std::int64_t> measure(kFactRows);
+    for (std::size_t i = 0; i < kFactRows; ++i) {
+      dense_fk[i] = uniform(-3, kStarDimRows + 3);
+      // Mostly members; every fourth key misses the sparse domain.
+      sparse_fk[i] = uniform(0, kStarDimRows - 1) * 1'000 +
+                     (i % 4 == 0 ? 8 : 7);
+      measure[i] = uniform(-1'000, 1'000);
+    }
+    EXPECT_TRUE(f->fact.AddColumn("dense_fk", std::move(dense_fk)).ok());
+    EXPECT_TRUE(f->fact.AddColumn("sparse_fk", std::move(sparse_fk)).ok());
+    EXPECT_TRUE(f->fact.AddColumn("m", std::move(measure)).ok());
+
+    for (const std::int64_t literal : {25, 50, 75}) {
+      engine::Query query;
+      query.fact = &f->fact;
+      query.measure_column = std::string("m");
+      query.joins.push_back(engine::JoinClause{
+          "dense_fk", &f->dense_dim, "pk",
+          engine::Filter{"attr", ops::CompareOp::kLt, literal}, true});
+      query.joins.push_back(engine::JoinClause{
+          "sparse_fk", &f->sparse_dim, "pk",
+          engine::Filter{"attr", ops::CompareOp::kNe, 3}, true});
+      f->expected.push_back(StarOracle(query));
+      f->queries.push_back(std::move(query));
+    }
+    return f;
+  }();
+  return *fixture;
+}
+
+TEST(StarBuildTest, ParallelBuildsMatchOracleOnEveryPlacement) {
+  const StarFixture& star = Star();
+  static_assert(kStarDimRows / kStarMorselTuples >= 4);
+  for (const bool gpu_plan : {false, true}) {
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      for (const bool cached : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << (gpu_plan ? "gpu" : "cpu") << " plan, workers "
+                     << workers << (cached ? ", build cache" : ""));
+        plan::BuildCache cache(64ull << 20);
+        engine::ExecOptions options;
+        options.workers = workers;
+        options.morsel_tuples = kStarMorselTuples;
+        options.gpu_plan = gpu_plan;
+        options.build_cache = cached ? &cache : nullptr;
+        for (std::size_t q = 0; q < star.queries.size(); ++q) {
+          Result<engine::ExecReport> report =
+              engine::Executor::RunResilient(star.queries[q], options);
+          ASSERT_TRUE(report.ok()) << report.status();
+          EXPECT_EQ(report.value().result, star.expected[q]) << "query " << q;
+          EXPECT_EQ(report.value().used_gpu, gpu_plan) << "query " << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryEngineTest, ConcurrentParallelStarBuildsMatchOracle) {
+  // Concurrent queries build (and evict: the cache holds the sparse table
+  // and one dense variant) through the engine's shared cache with mixed
+  // worker counts; every result matches the oracle.
+  const StarFixture& star = Star();
+  for (const plan::PlacementPolicy policy :
+       {plan::PlacementPolicy::kCpuOnly,
+        plan::PlacementPolicy::kGpuPreferred}) {
+    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(policy));
+    server::EngineOptions options;
+    options.session_threads = 4;
+    options.queue_capacity = 64;
+    options.policy = policy;
+    options.cache_capacity_bytes = 3ull << 19;  // 1.5 MiB.
+    server::QueryEngine engine(options);
+
+    constexpr std::size_t kSubmitters = 4;
+    constexpr std::size_t kPerSubmitter = 6;
+    constexpr std::size_t kWorkers[] = {1, 2, 4};
+    std::atomic<int> mismatches{0};
+    std::atomic<int> errors{0};
+    std::vector<std::thread> submitters;
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&, t] {
+        for (std::size_t q = 0; q < kPerSubmitter; ++q) {
+          const std::size_t pick = (t + q) % star.queries.size();
+          server::SubmitOptions submit;
+          submit.workers = kWorkers[(t + 2 * q) % 3];
+          submit.morsel_tuples = kStarMorselTuples;
+          Result<std::shared_ptr<server::QueryHandle>> handle =
+              engine.Submit(star.queries[pick], submit);
+          if (!handle.ok()) {
+            errors.fetch_add(1);
+            continue;
+          }
+          const Result<engine::ExecReport>& report = handle.value()->Wait();
+          if (!report.ok()) {
+            errors.fetch_add(1);
+          } else if (!(report.value().result == star.expected[pick])) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+    EXPECT_EQ(errors.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(engine.stats().completed, kSubmitters * kPerSubmitter);
+    EXPECT_GT(engine.build_cache().stats().misses, 0u);
   }
 }
 
