@@ -95,9 +95,12 @@ configure_and_test build-tsan "thread" \
   "exec_test|executor_test|engine_test|fault_test|failure_test|integration_test|obs_test|plan_test|server_test|simd_test"
 
 # 3a. The parallel dimension-table build's concurrent bitset and
-#     linear-probing inserts, repeated so TSan sees many interleavings.
-say "TSan: DimensionTableBuildTest x10 (parallel dimension-table build)"
-./build-tsan/tests/plan_test --gtest_filter='DimensionTableBuildTest.*' \
+#     linear-probing inserts, and the tables' memoized key ranges under
+#     concurrent first compiles, repeated so TSan sees many
+#     interleavings.
+say "TSan: DimensionTableBuildTest + KeyRangeTest x10"
+./build-tsan/tests/plan_test \
+    --gtest_filter='DimensionTableBuildTest.*:KeyRangeTest.*' \
     --gtest_repeat=10
 
 TMP_DIR="$(mktemp -d)"
@@ -188,6 +191,7 @@ PY
 say "verify shim lint (raw std:: primitives in migrated files)"
 MIGRATED_FILES=(
   src/plan/build_cache.h src/plan/build_cache.cc
+  src/engine/table.h
   src/common/cancel.h
   src/server/query_engine.h src/server/query_engine.cc
   src/exec/executor.h src/exec/executor.cc

@@ -115,7 +115,10 @@ void ProcessRange(const Query& query, const BoundColumns& columns,
     }
     if (!qualifies) continue;
     ++*rows;
-    *sum += columns.measure[i];
+    // Wraps like the plan path's uint64 accumulation (no signed overflow).
+    *sum = static_cast<std::int64_t>(static_cast<std::uint64_t>(*sum) +
+                                     static_cast<std::uint64_t>(
+                                         columns.measure[i]));
   }
 }
 

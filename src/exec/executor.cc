@@ -203,6 +203,8 @@ Executor& Executor::Default() {
 
 void ParallelFor(std::size_t workers,
                  const std::function<void(std::size_t)>& fn) {
+  // One worker runs inline and never constructs the process-wide pool.
+  if (workers <= 1) return fn(0);
   Executor::Default().Run(workers, fn);
 }
 

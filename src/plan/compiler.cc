@@ -79,24 +79,6 @@ Status Validate(const engine::Query& query, const QueryShape& shape) {
   return Status::OK();
 }
 
-KeyStats GatherKeyStats(const std::vector<std::int64_t>& keys) {
-  KeyStats stats;
-  stats.rows = keys.size();
-  if (keys.empty()) return stats;
-  // One pass for both bounds: this runs on every Compile, under the
-  // serving layer's admission lock.
-  stats.min_key = stats.max_key = keys.front();
-  for (const std::int64_t key : keys) {
-    stats.min_key = std::min(stats.min_key, key);
-    stats.max_key = std::max(stats.max_key, key);
-  }
-  if (stats.min_key >= 0) {
-    stats.density = static_cast<double>(stats.rows) /
-                    static_cast<double>(stats.max_key + 1);
-  }
-  return stats;
-}
-
 bool DenseKeys(const KeyStats& keys) {
   return keys.rows > 0 && keys.min_key >= 0 &&
          keys.density >= kDenseKeyDensity;
@@ -359,9 +341,14 @@ Result<PhysicalPlan> Compile(const engine::Query& query,
     build.key_column = join.dim_key_column;
     build.dim_filter = join.dim_filter;
     build.has_dim_filter = join.has_dim_filter;
-    PUMP_ASSIGN_OR_RETURN(const auto* keys,
-                          join.dimension->Column(join.dim_key_column));
-    build.keys = GatherKeyStats(*keys);
+    // O(1) from the memoized range; in double, INT64_MAX + 1 is finite.
+    PUMP_ASSIGN_OR_RETURN(const engine::KeyRange range,
+                          join.dimension->ColumnRange(join.dim_key_column));
+    build.keys = {range.min_key, range.max_key, join.dimension->rows(), 0.0};
+    if (build.keys.rows > 0 && range.min_key >= 0) {
+      build.keys.density = static_cast<double>(build.keys.rows) /
+                           (static_cast<double>(range.max_key) + 1.0);
+    }
     build.placement =
         gpu_policy ? PipelinePlacement::kGpu : PipelinePlacement::kCpu;
     build.table_kind = ChooseTableKind(build.keys, gpu_policy,

@@ -172,7 +172,9 @@ Result<std::shared_ptr<QueryHandle>> QueryEngine::Submit(
     }
 
     // Compile under the admission lock so the in-flight GPU pressure the
-    // plan sees is exactly the pressure its own footprint will join.
+    // plan sees is exactly the pressure its own footprint will join. It
+    // is O(joins): key statistics come from the dimensions' memoized
+    // ranges, not a scan of their rows.
     plan::CompileOptions compile_options;
     compile_options.policy = options_.policy;
     compile_options.gpu_budget_bytes = options_.gpu_budget_bytes;

@@ -31,8 +31,8 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Shared fixtures. Built once, outside any model run, and only ever read
-// by model bodies — fixture state carries no verify:: primitives, so it
-// adds no sequence points.
+// by model bodies through paths that take no lock (builds read columns,
+// never a table's key-range memo), so they add no sequence points.
 
 struct CacheFixture {
   engine::Table dim_a;
@@ -69,28 +69,24 @@ const CacheFixture& Cache() {
   return *fixture;
 }
 
+/// Built inside each model run: a table's key-range memo and its mutex
+/// are model state, so every run owns fresh tables and its first Submit
+/// scans the dimension key, as a served query's first compile does.
 struct ServerFixture {
+  ServerFixture() {
+    (void)fact.AddColumn("fk", {0, 1, 2, 0, 1, 2});
+    (void)fact.AddColumn("m", {1, 2, 3, 4, 5, 6});
+    (void)dim.AddColumn("pk", {0, 1, 2});
+    query.fact = &fact;
+    // Move-assign dodges a GCC 12 -Wrestrict false positive on the
+    // inlined literal assign.
+    query.measure_column = std::string("m");
+    query.joins.push_back(engine::JoinClause{"fk", &dim, "pk", {}, false});
+  }
   engine::Table fact;
   engine::Table dim;
   engine::Query query;
 };
-
-const ServerFixture& Server() {
-  static const ServerFixture* fixture = [] {
-    auto* f = new ServerFixture();
-    (void)f->fact.AddColumn("fk", {0, 1, 2, 0, 1, 2});
-    (void)f->fact.AddColumn("m", {1, 2, 3, 4, 5, 6});
-    (void)f->dim.AddColumn("pk", {0, 1, 2});
-    f->query.fact = &f->fact;
-    // Move-assign dodges a GCC 12 -Wrestrict false positive on the
-    // inlined literal assign.
-    f->query.measure_column = std::string("m");
-    f->query.joins.push_back(
-        engine::JoinClause{"fk", &f->dim, "pk", {}, false});
-    return f;
-  }();
-  return *fixture;
-}
 
 // ---------------------------------------------------------------------
 // plan::BuildCache — single-flight handoff: concurrent misses on one key
@@ -329,11 +325,12 @@ void QueryEngineAdmissionModel() {
     return Result<engine::ExecReport>(engine::ExecReport{});
   };
   {
+    const ServerFixture fixture;
     server::QueryEngine engine(options);
     Result<std::shared_ptr<server::QueryHandle>> first =
-        engine.Submit(Server().query);
+        engine.Submit(fixture.query);
     Result<std::shared_ptr<server::QueryHandle>> second =
-        engine.Submit(Server().query);
+        engine.Submit(fixture.query);
     VERIFY_INVARIANT(first.ok() && second.ok(),
                      "valid query rejected at admission");
     VERIFY_INVARIANT(first.value()->Wait().ok(),
@@ -368,11 +365,12 @@ void QueryEngineBudgetModel() {
                                const engine::ExecOptions&) {
     return Result<engine::ExecReport>(engine::ExecReport{});
   };
+  const ServerFixture fixture;
   server::QueryEngine engine(options);
   Result<std::shared_ptr<server::QueryHandle>> first =
-      engine.Submit(Server().query);
+      engine.Submit(fixture.query);
   Result<std::shared_ptr<server::QueryHandle>> second =
-      engine.Submit(Server().query);
+      engine.Submit(fixture.query);
   VERIFY_INVARIANT(first.ok() && second.ok(),
                    "valid query rejected at admission");
   // The cancelled query must release its pools exactly like a completed
@@ -413,9 +411,10 @@ void QueryHandleResolveModel() {
                                const engine::ExecOptions&) {
     return Result<engine::ExecReport>(engine::ExecReport{});
   };
+  const ServerFixture fixture;
   server::QueryEngine engine(options);
   Result<std::shared_ptr<server::QueryHandle>> handle =
-      engine.Submit(Server().query);
+      engine.Submit(fixture.query);
   VERIFY_INVARIANT(handle.ok(), "valid query rejected at admission");
   VERIFY_INVARIANT(handle.value()->Wait().ok(),
                    "admitted query resolved with an error");

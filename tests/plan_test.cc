@@ -5,11 +5,12 @@
 // validation with query-shape diagnostics, the structural plan
 // self-check, build-pipeline caching across the degradation ladder, the
 // JSON dump, the block probe kernel against a tuple-at-a-time
-// reference, and the parallel dimension-table build against a std::set
-// oracle.
+// reference, the parallel dimension-table build against a std::set
+// oracle, and the tables' memoized key ranges the compiler plans from.
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -19,6 +20,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,6 +33,7 @@
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "hw/topology.h"
+#include "obs/metrics.h"
 #include "ops/q6.h"
 #include "plan/compiler.h"
 #include "plan/dump.h"
@@ -1191,6 +1194,167 @@ TEST_F(DimensionTableBuildTest, OutOfDomainKeyFailsOnDenseKind) {
   SetDimension(keys, 5);
   ExpectBuildFails(Pipeline(HashTableKind::kPerfect, std::nullopt),
                    StatusCode::kInvalidArgument, "negative key");
+}
+
+
+// ---------------------------------------------------------------------
+// Key ranges: each dimension key column is scanned once per table, and
+// Compile derives its key statistics from that memo.
+
+obs::Counter& RangeScans() {
+  return obs::MetricsRegistry::Instance().GetCounter(
+      "engine.table.range_scans");
+}
+
+/// A one-join query over `dim.key`; the fact table is the dimension.
+engine::Query JoinOn(const engine::Table& dim) {
+  engine::Query query;
+  query.fact = &dim;
+  query.measure_column = "key";
+  query.joins.push_back(engine::JoinClause{"key", &dim, "key", {}, false});
+  return query;
+}
+
+TEST(KeyRangeTest, MatchesBruteForceScan) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::vector<std::int64_t> dense(10'000);
+  std::iota(dense.begin(), dense.end(), 0);
+  std::shuffle(dense.begin(), dense.end(), std::mt19937_64(16));
+  const std::vector<std::vector<std::int64_t>> columns = {
+      {}, {42}, {-7}, {-3, -900, -1, -55}, {kMax, kMin, 0}, {0, kMax},
+      {kMin}, dense};
+  for (const std::vector<std::int64_t>& values : columns) {
+    SCOPED_TRACE(testing::Message() << values.size() << " rows");
+    engine::Table table;
+    ASSERT_TRUE(table.AddColumn("key", values).ok());
+    const Result<engine::KeyRange> range = table.ColumnRange("key");
+    ASSERT_TRUE(range.ok()) << range.status();
+    std::int64_t lo = kMax;
+    std::int64_t hi = kMin;
+    for (const std::int64_t v : values) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    if (values.empty()) {
+      EXPECT_LT(range.value().max_key, range.value().min_key);
+    } else {
+      EXPECT_EQ(range.value().min_key, lo);
+      EXPECT_EQ(range.value().max_key, hi);
+    }
+  }
+  engine::Table table;
+  EXPECT_EQ(table.ColumnRange("missing").status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(KeyRangeTest, ScannedOnceAcrossSequentialCompiles) {
+  engine::Table dim;
+  std::vector<std::int64_t> keys(5'000);
+  std::iota(keys.begin(), keys.end(), 0);
+  ASSERT_TRUE(dim.AddColumn("key", std::move(keys)).ok());
+  const engine::Query query = JoinOn(dim);
+  const std::uint64_t before = RangeScans().value();
+  for (int i = 0; i < 16; ++i) {
+    const auto plan = Compile(query);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan.value().builds[0].keys.max_key, 4'999);
+    EXPECT_EQ(plan.value().builds[0].keys.rows, 5'000u);
+    EXPECT_DOUBLE_EQ(plan.value().builds[0].keys.density, 1.0);
+  }
+  EXPECT_EQ(RangeScans().value() - before, 1u);
+}
+
+TEST(KeyRangeTest, ScannedOnceAcrossConcurrentFirstCompiles) {
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 8; ++round) {
+    engine::Table dim;
+    std::vector<std::int64_t> keys(20'000);
+    std::iota(keys.begin(), keys.end(), round);
+    ASSERT_TRUE(dim.AddColumn("key", std::move(keys)).ok());
+    const engine::Query query = JoinOn(dim);
+    const std::uint64_t before = RangeScans().value();
+    std::atomic<int> ready{0};
+    std::vector<KeyStats> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        const auto plan = Compile(query);
+        if (plan.ok()) seen[t] = plan.value().builds[0].keys;
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(RangeScans().value() - before, 1u) << "round " << round;
+    for (const KeyStats& stats : seen) {
+      EXPECT_EQ(stats.min_key, round);
+      EXPECT_EQ(stats.max_key, round + 19'999);
+    }
+  }
+}
+
+TEST(KeyRangeTest, MovedOrReplacedTableRecomputes) {
+  engine::Table dim;
+  ASSERT_TRUE(dim.AddColumn("key", {3, 1, 2}).ok());
+  const std::uint64_t before = RangeScans().value();
+  EXPECT_EQ(dim.ColumnRange("key").value().max_key, 3);
+  EXPECT_EQ(dim.ColumnRange("key").value().max_key, 3);
+  EXPECT_EQ(RangeScans().value() - before, 1u);
+
+  engine::Table other;
+  ASSERT_TRUE(other.AddColumn("key", {-4, 9}).ok());
+  dim = std::move(other);  // Move-assigned: the old memo must not leak.
+  EXPECT_EQ(dim.ColumnRange("key").value().min_key, -4);
+  EXPECT_EQ(dim.ColumnRange("key").value().max_key, 9);
+  EXPECT_EQ(RangeScans().value() - before, 2u);
+
+  engine::Table moved(std::move(dim));
+  EXPECT_EQ(moved.ColumnRange("key").value().max_key, 9);
+  EXPECT_EQ(RangeScans().value() - before, 3u);
+
+  moved = engine::Table();  // Replaced by a fresh table, same column name.
+  ASSERT_TRUE(moved.AddColumn("key", {100, 200}).ok());
+  EXPECT_EQ(moved.ColumnRange("key").value().min_key, 100);
+  EXPECT_EQ(RangeScans().value() - before, 4u);
+}
+
+TEST(KeyRangeTest, Int64MaxKeyCompilesToLinearProbing) {
+  // max_key + 1 overflows int64: the density must come out tiny, not UB.
+  engine::Table dim;
+  ASSERT_TRUE(
+      dim.AddColumn("key", {0, 5, std::numeric_limits<std::int64_t>::max()})
+          .ok());
+  CompileOptions options;
+  options.policy = PlacementPolicy::kGpuPreferred;
+  const auto plan = Compile(JoinOn(dim), options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan.value().builds[0].table_kind, HashTableKind::kLinearProbing);
+  EXPECT_LT(plan.value().builds[0].keys.density, 1e-9);
+  const auto result = engine::Executor::Run(JoinOn(dim), 2);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result.value().rows, 3u);
+}
+
+TEST(SumOverflowTest, LegacyAndPlanPathsWrapIdentically) {
+  // The measure sum overflows int64; both paths wrap it identically.
+  engine::Table dim;
+  ASSERT_TRUE(dim.AddColumn("key", {0, 1, 2}).ok());
+  ASSERT_TRUE(dim.AddColumn("m", {std::numeric_limits<std::int64_t>::max(),
+                                  std::numeric_limits<std::int64_t>::max(),
+                                  3})
+                  .ok());
+  engine::Query query = JoinOn(dim);
+  query.measure_column = "m";
+  for (const std::size_t workers : {1u, 2u}) {
+    const auto fused = engine::legacy::RunFused(query, workers);
+    ASSERT_TRUE(fused.ok()) << fused.status();
+    const auto via_plan = engine::Executor::Run(query, workers);
+    ASSERT_TRUE(via_plan.ok()) << via_plan.status();
+    EXPECT_EQ(via_plan.value(), fused.value());
+    EXPECT_EQ(fused.value().sum, 1);  // 2 * (2^63 - 1) + 3 mod 2^64.
+  }
 }
 
 }  // namespace

@@ -977,5 +977,76 @@ TEST(QueryEngineTest, ConcurrentParallelStarBuildsMatchOracle) {
   }
 }
 
+
+TEST(QueryEngineTest, ConcurrentFirstSubmitsShareOneKeyRangeScan) {
+  // Four star filter variants over one fresh dimension, submitted at
+  // once: the compiles under the admission lock scan its key column once,
+  // and every result matches the oracle.
+  std::mt19937_64 rng(16);
+  std::vector<std::int64_t> keys(kStarDimRows);
+  std::iota(keys.begin(), keys.end(), 0);
+  std::shuffle(keys.begin(), keys.end(), rng);
+  std::vector<std::int64_t> attr(kStarDimRows);
+  for (std::int64_t& a : attr) a = static_cast<std::int64_t>(rng() % 100);
+  engine::Table dim;
+  ASSERT_TRUE(dim.AddColumn("pk", std::move(keys)).ok());
+  ASSERT_TRUE(dim.AddColumn("attr", std::move(attr)).ok());
+  std::vector<std::int64_t> fk(3 * kStarDimRows);
+  std::vector<std::int64_t> measure(fk.size());
+  for (std::size_t i = 0; i < fk.size(); ++i) {
+    fk[i] = static_cast<std::int64_t>(rng() % (kStarDimRows + 8)) - 4;
+    measure[i] = static_cast<std::int64_t>(rng() % 2'001) - 1'000;
+  }
+  engine::Table fact;
+  ASSERT_TRUE(fact.AddColumn("fk", std::move(fk)).ok());
+  ASSERT_TRUE(fact.AddColumn("m", std::move(measure)).ok());
+
+  constexpr std::size_t kSubmitters = 4;
+  std::vector<engine::Query> queries;
+  for (std::size_t v = 0; v < kSubmitters; ++v) {
+    engine::Query query;
+    query.fact = &fact;
+    query.measure_column = "m";
+    query.joins.push_back(engine::JoinClause{
+        "fk", &dim, "pk",
+        engine::Filter{"attr", ops::CompareOp::kLt,
+                       static_cast<std::int64_t>(20 * (v + 1))},
+        true});
+    queries.push_back(std::move(query));
+  }
+
+  server::EngineOptions options;
+  options.session_threads = 4;
+  options.queue_capacity = 16;
+  server::QueryEngine engine(options);
+  obs::Counter& scans =
+      obs::MetricsRegistry::Instance().GetCounter("engine.table.range_scans");
+  const std::uint64_t before = scans.value();
+  std::atomic<std::size_t> ready{0};
+  std::vector<Result<engine::ExecReport>> reports(
+      kSubmitters, Status::Internal("unset"));
+  std::vector<std::thread> submitters;
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kSubmitters) {
+      }
+      server::SubmitOptions submit;
+      submit.workers = 2;
+      submit.morsel_tuples = kStarMorselTuples;
+      Result<std::shared_ptr<server::QueryHandle>> handle =
+          engine.Submit(queries[t], submit);
+      reports[t] = handle.ok() ? handle.value()->Wait() : handle.status();
+    });
+  }
+  for (std::thread& submitter : submitters) submitter.join();
+  EXPECT_EQ(scans.value() - before, 1u);
+  for (std::size_t t = 0; t < kSubmitters; ++t) {
+    ASSERT_TRUE(reports[t].ok()) << reports[t].status();
+    EXPECT_EQ(reports[t].value().result, StarOracle(queries[t]))
+        << "variant " << t;
+  }
+}
+
 }  // namespace
 }  // namespace pump

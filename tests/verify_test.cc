@@ -13,6 +13,7 @@
 
 #include "common/cancel.h"
 #include "engine/table.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "plan/build_cache.h"
 #include "plan/operators.h"
@@ -202,6 +203,21 @@ TEST(BuildCacheEvictionTest, ConcurrentInsertsStayWithinCapacity) {
 // Explorer behaviour on toy models (verify builds only).
 
 #if defined(PUMP_VERIFY) && PUMP_VERIFY
+
+TEST(ExplorerTest, OneWorkerParallelForSpawnsNoModelThread) {
+  // A one-worker loop runs inline. Constructing the process-wide pool
+  // here instead would spawn its workers into the model run, which then
+  // returns with them unjoined. No earlier test in this binary constructs
+  // the pool (their builds run one worker), so this one is first to ask.
+  int calls = 0;
+  auto body = [&] {
+    exec::ParallelFor(1, [&](std::size_t id) { calls += id == 0 ? 1 : 100; });
+  };
+  const verify::RunOutcome outcome = verify::Replay(body, "");
+  EXPECT_FALSE(outcome.failed) << outcome.failure;
+  EXPECT_EQ(outcome.threads, 1);
+  EXPECT_EQ(calls, 1);
+}
 
 TEST(ExplorerTest, FindsAbBaDeadlockAndReplaysIt) {
   auto body = [] {
