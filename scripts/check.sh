@@ -94,9 +94,10 @@ configure_and_test build-asan "address" ""
 configure_and_test build-tsan "thread" \
   "exec_test|executor_test|engine_test|fault_test|failure_test|integration_test|obs_test|plan_test|server_test|simd_test"
 
-# 3a. The parallel dimension-table build's concurrent bitset and
-#     linear-probing inserts, and the tables' memoized key ranges under
-#     concurrent first compiles, repeated so TSan sees many
+# 3a. The parallel dimension-table build (per-worker private bitsets
+#     merged after the join, concurrent linear-probing CAS inserts, a
+#     duplicate key split across workers) and the tables' memoized key
+#     ranges under concurrent first compiles, repeated so TSan sees many
 #     interleavings.
 say "TSan: DimensionTableBuildTest + KeyRangeTest x10"
 ./build-tsan/tests/plan_test \
@@ -173,7 +174,7 @@ assert report["clean_pass"], "a clean model run failed"
 assert report["schedules_explored"] >= 1000, (
     f"explored only {report['schedules_explored']} distinct schedules; "
     "the quick lane must cover >= 1000")
-assert report["mutants_total"] >= 7, report["mutants_total"]
+assert report["mutants_total"] >= 10, report["mutants_total"]
 assert report["mutants_killed"] == report["mutants_total"], (
     "surviving mutants: " + ", ".join(
         m["mutation"] for m in report["mutants"] if not m["killed"]))

@@ -45,6 +45,10 @@ class ScopedInRun {
   ~ScopedInRun() { tls_in_run = false; }
 };
 
+/// This thread's ParallelFor executor when not Default() (set by
+/// ScopedParallelForExecutor).
+thread_local Executor* tls_parallel_for_executor = nullptr;
+
 }  // namespace
 
 /// One external Run call. Its fields are guarded by the executor's
@@ -205,7 +209,17 @@ void ParallelFor(std::size_t workers,
                  const std::function<void(std::size_t)>& fn) {
   // One worker runs inline and never constructs the process-wide pool.
   if (workers <= 1) return fn(0);
-  Executor::Default().Run(workers, fn);
+  Executor* executor = tls_parallel_for_executor;
+  (executor != nullptr ? *executor : Executor::Default()).Run(workers, fn);
+}
+
+ScopedParallelForExecutor::ScopedParallelForExecutor(Executor* executor)
+    : previous_(tls_parallel_for_executor) {
+  tls_parallel_for_executor = executor;
+}
+
+ScopedParallelForExecutor::~ScopedParallelForExecutor() {
+  tls_parallel_for_executor = previous_;
 }
 
 std::size_t DefaultWorkerCount() {

@@ -13,6 +13,8 @@
 
 namespace pump::exec {
 
+class Executor;
+
 /// Runs `fn(worker_id)` for every id in [0, workers) and joins; the
 /// worker with id 0 runs on the calling thread. This is the fork-join
 /// primitive beneath the functional joins' build and probe phases — the
@@ -22,6 +24,22 @@ namespace pump::exec {
 /// wake-up, not a thread creation.
 void ParallelFor(std::size_t workers,
                  const std::function<void(std::size_t)>& fn);
+
+/// Sends the calling thread's multi-worker ParallelFor calls to
+/// `executor` instead of Executor::Default() while in scope. The
+/// verifier's parallel-build model runs DimensionTable::Build this way on
+/// a private pool whose threads are model threads.
+class ScopedParallelForExecutor {
+ public:
+  explicit ScopedParallelForExecutor(Executor* executor);
+  ~ScopedParallelForExecutor();
+  ScopedParallelForExecutor(const ScopedParallelForExecutor&) = delete;
+  ScopedParallelForExecutor& operator=(const ScopedParallelForExecutor&) =
+      delete;
+
+ private:
+  Executor* previous_;
+};
 
 /// A reasonable default worker count: the hardware concurrency, at least 1.
 std::size_t DefaultWorkerCount();

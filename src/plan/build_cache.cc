@@ -94,6 +94,7 @@ Result<std::shared_ptr<const DimensionTable>> BuildCache::GetOrBuild(
   if (!builder) {
     // Another query is building this exact table; wait for its result
     // instead of duplicating the work (and the memory).
+    if (hit != nullptr) *hit = true;
     std::unique_lock<verify::Mutex> lock(flight->mutex);
     flight->cv.wait(lock, [&] { return flight->done; });
     return flight->result;

@@ -66,8 +66,9 @@ class BuildCache {
   /// Returns the cached table for `build`, building it (once, whatever
   /// the concurrency) on a miss with `workers` workers claiming morsels of
   /// `morsel_tuples` rows (DimensionTable::Build; the table does not
-  /// depend on either). `hit`, when non-null, reports whether the table
-  /// came from cache (true) or this call built/awaited it.
+  /// depend on either). `hit`, when non-null, reports whether this call
+  /// did not run the build: true for a resident entry or a single-flight
+  /// wait on another call's build, false when this call built the table.
   Result<std::shared_ptr<const DimensionTable>> GetOrBuild(
       const BuildPipeline& build, bool* hit = nullptr,
       std::size_t workers = 1,

@@ -109,12 +109,13 @@ using TableHandles = std::vector<std::shared_ptr<const DimensionTable>>;
 /// Build stage: every build pipeline runs exactly once per query and its
 /// table is cached for all later rungs of the ladder. With a process-wide
 /// BuildCache in the options, builds are further deduplicated *across*
-/// queries: a cache hit reuses a sibling query's table (reported as
-/// dim_tables_reused), a miss builds through the cache's single-flight
-/// slot. A build runs morsel-parallel with the query's workers and morsel
-/// size. GPU-placed builds model their device allocation (spilling on
-/// injected OOM); a build that cannot obtain any device placement is
-/// re-placed on the CPU without discarding the functional table.
+/// queries: a cache hit, or a wait on a sibling query's in-flight build of
+/// the same table, reuses that table (reported as dim_tables_reused); only
+/// the call that runs the build reports dim_tables_built. A build runs
+/// morsel-parallel with the query's workers and morsel size. GPU-placed
+/// builds model their device allocation (spilling on injected OOM); a
+/// build that cannot obtain any device placement is re-placed on the CPU
+/// without discarding the functional table.
 Result<TableHandles> RunBuildPipelines(
     const PhysicalPlan& plan, const engine::ExecOptions& options,
     engine::ExecReport* report, std::vector<std::string>* reasons) {

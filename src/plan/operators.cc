@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "exec/parallel.h"
 #include "obs/trace.h"
+#include "verify/mutation.h"
 
 namespace pump::plan {
 
@@ -195,27 +197,32 @@ Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build,
 
   DimensionTable table;
   table.kind_ = build.table_kind;
-  if (build.table_kind == HashTableKind::kLinearProbing) {
-    table.linear_.emplace(std::max<std::size_t>(1, keys->size()));
-  } else {
-    // Dense kinds: one bit per key of [0, max_key].
-    table.dense_ = KeyBitset(static_cast<std::size_t>(build.keys.max_key + 1));
-  }
-  const auto insert_selected = [&table](const std::int64_t* block,
-                                        const std::uint32_t* sel,
-                                        std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      PUMP_RETURN_NOT_OK(table.linear_.has_value()
-                             ? table.linear_->Insert(block[sel[k]], 1)
-                             : table.dense_.Insert(block[sel[k]]));
-    }
-    return Status::OK();
-  };
+  // Dense kinds: one bit per key of [0, max_key].
+  const bool dense = build.table_kind != HashTableKind::kLinearProbing;
+  const std::size_t domain =
+      dense ? static_cast<std::size_t>(build.keys.max_key + 1) : 0;
+  if (!dense) table.linear_.emplace(std::max<std::size_t>(1, keys->size()));
 
-  std::vector<std::size_t> inserted(std::max<std::size_t>(1, workers), 0);
+  // Worker 0 builds into the table's bitset, worker w > 0 into part
+  // w - 1's private one. Each bitset is allocated on its worker's first
+  // morsel, so a worker that claims none allocates nothing and a
+  // one-morsel dimension allocates one bitset, whichever worker claims it.
+  struct WorkerPart {
+    KeyBitset bits;
+    std::size_t inserted = 0;
+  };
+  std::size_t inserted0 = 0;
+  std::vector<WorkerPart> parts(std::max<std::size_t>(1, workers) - 1);
   PUMP_RETURN_NOT_OK(exec::ForEachMorsel(
       keys->size(), morsel_tuples, workers,
       [&](std::size_t worker, exec::Morsel morsel) {
+        std::size_t& inserted =
+            worker == 0 ? inserted0 : parts[worker - 1].inserted;
+        KeyBitset* bits = nullptr;
+        if (dense) {
+          bits = worker == 0 ? &table.dense_ : &parts[worker - 1].bits;
+          if (!bits->allocated()) *bits = KeyBitset(domain);
+        }
         std::uint32_t sel[kBlockTuples];
         for (std::size_t base = morsel.begin; base < morsel.end;
              base += kBlockTuples) {
@@ -231,13 +238,46 @@ Result<DimensionTable> DimensionTable::Build(const BuildPipeline& build,
                   ? SelectFilter(*filter, filter->column, count, row, sel)
                   : Select(count, row, [](std::uint32_t) { return true; },
                            sel);
-          PUMP_RETURN_NOT_OK(insert_selected(keys->data(), sel, n));
-          inserted[worker] += n;
+          const std::int64_t* block = keys->data();
+          for (std::size_t k = 0; k < n; ++k) {
+            PUMP_RETURN_NOT_OK(bits != nullptr
+                                   ? bits->Insert(block[sel[k]])
+                                   : table.linear_->Insert(block[sel[k]], 1));
+          }
+          inserted += n;
         }
         return Status::OK();
       }));
-  for (const std::size_t n : inserted) table.entries_ += n;
+  // After the join: fold the private bitsets into the table (the first
+  // one is adopted when worker 0 claimed nothing). A duplicate key whose
+  // copies went to different workers shows up only here. A dimension no
+  // worker claimed leaves the table unallocated: Contains is false for
+  // every key.
+  table.entries_ = inserted0;
+  for (WorkerPart& part : parts) {
+    table.entries_ += part.inserted;
+    if (!part.bits.allocated()) continue;
+    if (table.dense_.allocated()) {
+      PUMP_RETURN_NOT_OK(table.dense_.Merge(part.bits));
+    } else {
+      table.dense_ = std::move(part.bits);
+    }
+  }
   return table;
+}
+
+Status DimensionTable::KeyBitset::Merge(const KeyBitset& other) {
+  std::uint64_t overlap = 0;
+  for (std::size_t i = 0; i < (domain_ + 63) / 64; ++i) {
+    overlap |= words_[i] & other.words_[i];
+    words_[i] |= other.words_[i];
+  }
+  // Seeded mutant: OR without the overlap test, so a duplicate key split
+  // across workers builds a table that silently drops one row.
+  if (overlap != 0 && !PUMP_VERIFY_MUTATE("plan.build.merge_skips_overlap")) {
+    return Status::AlreadyExists("duplicate key in perfect hash table");
+  }
+  return Status::OK();
 }
 
 void ProcessRange(const BoundProbe& bound, std::size_t begin,

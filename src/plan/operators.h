@@ -1,7 +1,6 @@
 #ifndef PUMP_PLAN_OPERATORS_H_
 #define PUMP_PLAN_OPERATORS_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -35,9 +34,16 @@ namespace pump::plan {
 /// morsel-parallel over the query's workers (exec::ForEachMorsel, whose
 /// join is the build/probe barrier), a block of up to 1024 rows at a time,
 /// with the dimension filter compacting a selection vector branch-free
-/// and only its survivors inserted. Inserts are atomic (a relaxed
-/// fetch_or per bit, a CAS per linear-probing slot), so the table is the
-/// same whatever the schedule.
+/// and only its survivors inserted. A dense build shares nothing between
+/// workers while it runs (the thread-local build of morsel-driven
+/// parallelism, Leis et al., SIGMOD 2014): worker 0 sets bits in the
+/// table's own bitset, and every other worker in a private one. Each is
+/// allocated on its worker's first morsel, so a one-worker build, or one
+/// whose dimension fits one morsel, allocates one bitset. After the join
+/// the private bitsets are OR-merged into the table; a bit set in two of
+/// them is a duplicate key split across workers, which the merge reports.
+/// The linear-probing kind inserts into one shared table with a CAS per
+/// slot. Either way the table is the same whatever the schedule.
 class DimensionTable {
  public:
   /// Builds the table from the pipeline's dimension column (applying the
@@ -72,34 +78,40 @@ class DimensionTable {
   using Linear = hash::LinearProbingHashTable<std::int64_t, std::int64_t>;
 
   /// Key membership over the dense domain [0, domain): bit `key` of a
-  /// word array.
+  /// word array. Single-writer: a parallel build gives each worker its
+  /// own set and merges them after the join.
   class KeyBitset {
    public:
     KeyBitset() = default;
+    /// All keys absent.
     explicit KeyBitset(std::size_t domain)
         : domain_(domain),
-          words_(std::make_unique<std::atomic<std::uint64_t>[]>(
-              (domain + 63) / 64)) {}
+          words_(std::make_unique<std::uint64_t[]>((domain + 63) / 64)) {}
 
-    /// Sets bit `key`. Thread-safe against concurrent inserts; reads need
-    /// the build/probe barrier. Fails like PerfectHashTable::Insert.
+    /// False for a default-constructed set (no domain allocated).
+    bool allocated() const { return words_ != nullptr; }
+
+    /// Sets bit `key`. Fails like PerfectHashTable::Insert.
     Status Insert(std::int64_t key) {
       if (!InDomain(key)) {
         return Status::InvalidArgument("key outside perfect-hash domain");
       }
+      std::uint64_t& word = words_[key >> 6];
       const std::uint64_t bit = std::uint64_t{1} << (key & 63);
-      if ((words_[key >> 6].fetch_or(bit, std::memory_order_relaxed) & bit) !=
-          0) {
+      if ((word & bit) != 0) {
         return Status::AlreadyExists("duplicate key in perfect hash table");
       }
+      word |= bit;
       return Status::OK();
     }
 
+    /// ORs `other` (same domain) into this set. Fails with AlreadyExists
+    /// when a key is in both: the two copies of a duplicate key that
+    /// different workers inserted.
+    Status Merge(const KeyBitset& other);
+
     bool Contains(std::int64_t key) const {
-      return InDomain(key) &&
-             ((words_[key >> 6].load(std::memory_order_relaxed) >>
-               (key & 63)) &
-              1) != 0;
+      return InDomain(key) && ((words_[key >> 6] >> (key & 63)) & 1) != 0;
     }
 
     void Prefetch(std::int64_t key) const {
@@ -112,7 +124,7 @@ class DimensionTable {
     }
 
     std::uint64_t domain_ = 0;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> words_;
+    std::unique_ptr<std::uint64_t[]> words_;
   };
 
   DimensionTable() = default;

@@ -16,6 +16,7 @@
 #include "engine/table.h"
 #include "exec/executor.h"
 #include "exec/morsel.h"
+#include "exec/parallel.h"
 #include "exec/work_stealing.h"
 #include "obs/trace.h"
 #include "plan/build_cache.h"
@@ -172,6 +173,31 @@ void BuildCacheEvictionModel() {
   VERIFY_INVARIANT(stats.resident_bytes <= cache.capacity_bytes(),
                    "resident bytes exceeded the cache capacity");
   VERIFY_INVARIANT(stats.entries <= 1, "capacity admits one entry at most");
+}
+
+// ---------------------------------------------------------------------
+// plan::DimensionTable::Build — the parallel dense build: two workers
+// share a ForEachMorsel on a private one-thread pool over a dimension
+// whose key 0 sits in both of its two morsels. Worker 0 sets bits in the
+// table, worker 1 in a private bitset merged after the join. Whether one
+// worker claims both morsels (the duplicate is caught at insert) or each
+// claims one (caught at the merge), the build fails with AlreadyExists.
+
+void DimensionBuildModel() {
+  engine::Table dim;
+  (void)dim.AddColumn("pk", {0, 1, 2, 0});
+  plan::BuildPipeline build = PipelineFor(dim, 64);
+  build.table_kind = plan::HashTableKind::kPerfect;
+  build.keys.max_key = 2;
+  exec::Executor pool(1);
+  exec::ScopedParallelForExecutor on_pool(&pool);
+  const Result<plan::DimensionTable> built =
+      plan::DimensionTable::Build(build, /*workers=*/2, /*morsel_tuples=*/2);
+  VERIFY_INVARIANT(!built.ok() &&
+                       built.status().code() == StatusCode::kAlreadyExists,
+                   "a duplicate key split across build workers was not "
+                   "reported (private bitsets merged without the overlap "
+                   "test)");
 }
 
 // ---------------------------------------------------------------------
@@ -474,6 +500,7 @@ const std::vector<Model>& Models() {
       {"exec.morsel.coverage", MorselCoverageModel, 1'200, 200},
       {"exec.ws.coverage", WorkStealingCoverageModel, 2'000, 300},
       {"exec.pool.jobs", ExecutorJobsModel, 2'000, 300},
+      {"plan.build.dense_merge", DimensionBuildModel, 2'000, 300},
       {"server.engine.admission", QueryEngineAdmissionModel, 2'500, 400},
       {"server.engine.budget", QueryEngineBudgetModel, 2'000, 300},
       {"server.handle.resolve", QueryHandleResolveModel, 1'500, 300},
@@ -490,6 +517,7 @@ const std::vector<Mutant>& Mutants() {
       {"exec.morsel.unsaturated_claim", "exec.morsel.coverage"},
       {"exec.ws.tail_overrun", "exec.ws.coverage"},
       {"exec.pool.notify_before_done", "exec.pool.jobs"},
+      {"plan.build.merge_skips_overlap", "plan.build.dense_merge"},
       {"server.handle.notify_before_done", "server.handle.resolve"},
       {"server.budget.leak_on_release", "server.engine.budget"},
       {"obs.trace.count_before_slot", "obs.trace.ring"},

@@ -3,10 +3,11 @@
 
 // The verifier's model suite: small deterministic concurrency models
 // that drive the repository's REAL migrated structures (plan::BuildCache,
-// common::CancelToken, server::QueryEngine, the exec dispatchers, the
-// obs::trace ring) under the schedule explorer, plus the seeded-mutant
-// kill harness that proves the models can actually detect the bug
-// classes they claim to cover.
+// common::CancelToken, server::QueryEngine, the exec dispatchers and
+// pool, the parallel dimension-table build, the obs::trace ring) under
+// the schedule explorer, plus the seeded-mutant kill harness that
+// proves the models can actually detect the bug classes they claim to
+// cover.
 //
 // Only meaningful under PUMP_VERIFY; normal builds see an empty header
 // (tools/verifydump prints a stub report instead).

@@ -1197,6 +1197,78 @@ TEST_F(DimensionTableBuildTest, OutOfDomainKeyFailsOnDenseKind) {
 }
 
 
+TEST_F(DimensionTableBuildTest, EveryWorkerAndMorselSplitMatchesOneWorker) {
+  // Morsels that are not multiples of 64 make two workers set bits of
+  // the same word in their own bitsets; 100'000 is one morsel in all.
+  SetDimension(RandomKeys(3'000, 4'100, 6), 6);
+  for (const HashTableKind kind : kKinds) {
+    for (const bool filtered : {false, true}) {
+      const BuildPipeline build = Pipeline(
+          kind, filtered ? std::optional<engine::Filter>(engine::Filter{
+                               "attr", ops::CompareOp::kLt, 5})
+                         : std::nullopt);
+      Result<DimensionTable> one = DimensionTable::Build(build);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      for (const std::size_t workers : {1, 2, 3, 4}) {
+        for (const std::size_t morsel : {1, 63, 64, 65, 700, 100'000}) {
+          const std::string where =
+              std::string("kind ") + ToString(kind) +
+              (filtered ? " filtered" : "") + " workers " +
+              std::to_string(workers) + " morsel " + std::to_string(morsel);
+          Result<DimensionTable> table =
+              DimensionTable::Build(build, workers, morsel);
+          ASSERT_TRUE(table.ok()) << where << ": "
+                                  << table.status().ToString();
+          EXPECT_EQ(table.value().entries(), one.value().entries()) << where;
+          for (std::int64_t key = -2; key <= build.keys.max_key + 2; ++key) {
+            ASSERT_EQ(table.value().Contains(key), one.value().Contains(key))
+                << where << " key " << key;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(DimensionTableBuildTest, DuplicateSplitAcrossWorkersAlwaysFails) {
+  // Rows 5 and 2'900 hold the same key, 45 morsels apart: most rounds
+  // put the two copies in different workers' bitsets, where only the
+  // merge after the join can see them.
+  std::vector<std::int64_t> keys(3'000);
+  std::iota(keys.begin(), keys.end(), 0);
+  keys[2'900] = keys[5];
+  keys_ = keys;
+  dimension_ = engine::Table();
+  ASSERT_TRUE(dimension_.AddColumn("key", std::move(keys)).ok());
+  for (const HashTableKind kind : kKinds) {
+    const BuildPipeline build = Pipeline(kind, std::nullopt);
+    for (const std::size_t workers : {2, 4}) {
+      for (int round = 0; round < 50; ++round) {
+        Result<DimensionTable> table =
+            DimensionTable::Build(build, workers, /*morsel_tuples=*/64);
+        ASSERT_FALSE(table.ok()) << ToString(kind) << " workers " << workers
+                                 << " round " << round;
+        ASSERT_EQ(table.status().code(), StatusCode::kAlreadyExists)
+            << ToString(kind) << " workers " << workers << " round "
+            << round << ": " << table.status().ToString();
+      }
+    }
+  }
+}
+
+TEST_F(DimensionTableBuildTest, OutOfDomainKeyFailsInAnyWorker) {
+  std::vector<std::int64_t> keys = RandomKeys(3'000, 3'000, 7);
+  keys[2'500] = 3'000;  // One past the domain.
+  SetDimension(keys, 7);
+  BuildPipeline build = Pipeline(HashTableKind::kPerfect, std::nullopt);
+  build.keys.max_key = 2'999;
+  Result<DimensionTable> table =
+      DimensionTable::Build(build, /*workers=*/4, /*morsel_tuples=*/64);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kInvalidArgument)
+      << table.status().ToString();
+}
+
 // ---------------------------------------------------------------------
 // Key ranges: each dimension key column is scanned once per table, and
 // Compile derives its key statistics from that memo.

@@ -153,15 +153,21 @@ TEST(BuildCacheTest, SingleFlightBuildsOnce) {
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
+  std::atomic<int> builders{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      if (!cache.GetOrBuild(build).ok()) failures.fetch_add(1);
+      bool hit = true;
+      if (!cache.GetOrBuild(build, &hit).ok()) failures.fetch_add(1);
+      if (!hit) builders.fetch_add(1);
     });
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+  // `hit` is false only for the call that ran the build: a single-flight
+  // waiter reuses the table like a resident hit.
+  EXPECT_EQ(builders.load(), 1);
   const plan::BuildCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.hits + stats.misses, static_cast<std::uint64_t>(kThreads));
