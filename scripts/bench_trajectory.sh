@@ -4,8 +4,8 @@
 # diffable commit over commit.
 #
 #   micro_parallel  — hand-rolled harness, emits records via --json
-#   micro_engine    — hand-rolled harness: fused executor vs plan IR per
-#                     SSB query and Q6, incl. the plan-IR overhead records
+#   micro_engine    — hand-rolled harness: plan IR per SSB query and Q6
+#                     on one worker, trace recorder off and on
 #   micro_hashtable — records section only (--records-only): scalar vs
 #                     interleaved vs SIMD ht_probe_ns per table kind
 #   micro_join      — records section only (--records-only): direct

@@ -59,11 +59,6 @@ struct ExecOptions {
   /// flight recorder's source for the failed attempt's pipeline rows,
   /// which the Result-based return drops on the floor.
   ExecReport* partial_report = nullptr;
-  /// Test-only escape hatch: route RunResilient through the preserved
-  /// pre-plan-IR fused path (engine::legacy) instead of compiling to the
-  /// plan IR. Exists solely for the golden equivalence suite and will be
-  /// removed with the legacy path.
-  bool legacy_fused_for_test = false;
 };
 
 /// Per-pipeline outcome row of an executed plan. The degradation ladder
@@ -132,7 +127,7 @@ struct ExecReport {
   /// Per-pipeline outcome rows (builds in plan order, then the probe).
   /// Unlike the summed totals above they are preserved across the
   /// ladder's CPU re-placement, recording placement tried vs. used,
-  /// attempts and retries per pipeline. Empty on the legacy fused path.
+  /// attempts and retries per pipeline.
   std::vector<PipelineOutcome> pipelines;
   /// Per-shard outcome rows of a sharded (multi-device) plan: the
   /// exchange stage first (kind "exchange"), then one "shard[i]@dev<d>"

@@ -662,11 +662,11 @@ Result<engine::ExecReport> ExecutePlan(const PhysicalPlan& plan,
       return options.cancel->ToStatus();
     }
     // Rung 3, scoped to this pipeline: re-place the probe on the CPU,
-    // reusing every cached build instead of rebuilding (the old fused
-    // path rebuilt all dimension tables here). The summed fault totals
-    // reset with the fresh report — they describe the attempt that
-    // produced the result — but the per-pipeline rows carry the failed
-    // attempt's history so the report still explains what was tried.
+    // reusing every cached build instead of rebuilding. The summed fault
+    // totals reset with the fresh report — they describe the attempt
+    // that produced the result — but the per-pipeline rows carry the
+    // failed attempt's history so the report still explains what was
+    // tried.
     PUMP_TRACE_INSTANT(obs::TraceCategory::kPlan, "plan.replace",
                        /*arg0=*/-1.0);
     Counters().replacements.Add();

@@ -1,59 +1,26 @@
 #include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "engine/advisor.h"
 #include "engine/executor.h"
 #include "engine/ssb.h"
 #include "engine/table.h"
+#include "fault/fault_injector.h"
 #include "gtest/gtest.h"
 #include "hw/system_profile.h"
 #include "common/rng.h"
 #include "ops/scan.h"
+#include "perfbench/oracle.h"
 
 namespace pump::engine {
 namespace {
 
-// Reference evaluation of a query by row-at-a-time interpretation.
-QueryResult BruteForce(const Query& query) {
-  QueryResult expected;
-  const Table& fact = *query.fact;
-  const auto* measure = fact.Column(query.measure_column).value();
-  for (std::size_t i = 0; i < fact.rows(); ++i) {
-    bool ok = true;
-    for (const Filter& filter : query.filters) {
-      const auto* column = fact.Column(filter.column).value();
-      if (!ops::Compare(filter.op, (*column)[i], filter.literal)) {
-        ok = false;
-        break;
-      }
-    }
-    for (const JoinClause& join : query.joins) {
-      if (!ok) break;
-      const auto* keys = fact.Column(join.fact_key_column).value();
-      const auto* dim_keys =
-          join.dimension->Column(join.dim_key_column).value();
-      const std::vector<std::int64_t>* dim_filter_column =
-          join.has_dim_filter
-              ? join.dimension->Column(join.dim_filter.column).value()
-              : nullptr;
-      bool matched = false;
-      for (std::size_t d = 0; d < dim_keys->size(); ++d) {
-        if ((*dim_keys)[d] != (*keys)[i]) continue;
-        if (dim_filter_column != nullptr &&
-            !ops::Compare(join.dim_filter.op, (*dim_filter_column)[d],
-                          join.dim_filter.literal)) {
-          continue;
-        }
-        matched = true;
-        break;
-      }
-      ok = matched;
-    }
-    if (ok) {
-      ++expected.rows;
-      expected.sum += (*measure)[i];
-    }
-  }
-  return expected;
+/// The brute-force oracle's answer for `query`.
+QueryResult Expected(const Query& query) {
+  Result<QueryResult> expected = perfbench::Oracle().Evaluate(query);
+  EXPECT_TRUE(expected.ok()) << expected.status();
+  return expected.ok() ? expected.value() : QueryResult{};
 }
 
 TEST(TableTest, ColumnManagement) {
@@ -111,7 +78,7 @@ TEST(ExecutorTest, SsbQ1MatchesBruteForce) {
   const Query query = SsbQ1(db);
   Result<QueryResult> result = Executor::Run(query, 2);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), BruteForce(query));
+  EXPECT_EQ(result.value(), Expected(query));
   EXPECT_GT(result.value().rows, 0u);
   // Q1's selectivity: 3/11 discounts x 24/50 quantities x ~1/7 years.
   const double selectivity =
@@ -124,7 +91,7 @@ TEST(ExecutorTest, SsbQ2MatchesBruteForce) {
   const Query query = SsbQ2(db);
   Result<QueryResult> result = Executor::Run(query, 3);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value(), BruteForce(query));
+  EXPECT_EQ(result.value(), Expected(query));
   // Two 1/5-region semi-joins keep ~4% of rows.
   const double selectivity =
       static_cast<double>(result.value().rows) / 30'000.0;
@@ -217,19 +184,33 @@ TEST_F(AdvisorTest, PredictionMonotoneInFactSize) {
 }
 
 // Randomized differential testing: generate random star queries over a
-// random database and compare the executor against the brute-force
-// interpreter for every seed.
+// random database and compare every plan the executor can run (CPU and
+// GPU placement, 1-4 workers, with and without transient transfer
+// faults) against the brute-force oracle for every seed.
 class EngineFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// The seed whose measure holds INT64_MAX on every other row, so the
+/// sums wrap.
+constexpr std::uint64_t kWrapSeed = 25;
 
 TEST_P(EngineFuzzTest, ExecutorMatchesBruteForce) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed);
-  const SsbDatabase db =
+  SsbDatabase db =
       SsbDatabase::Generate(2'000 + rng.NextBounded(20'000), seed);
 
   Query query;
   query.fact = &db.lineorder;
   query.measure_column = "lo_revenue";
+  if (seed == kWrapSeed) {
+    std::vector<std::int64_t> wrap =
+        *db.lineorder.Column("lo_revenue").value();
+    for (std::size_t i = 1; i < wrap.size(); i += 2) {
+      wrap[i] = std::numeric_limits<std::int64_t>::max();
+    }
+    ASSERT_TRUE(db.lineorder.AddColumn("lo_wrap", std::move(wrap)).ok());
+    query.measure_column = "lo_wrap";
+  }
 
   // Random fact filters (0-3).
   const char* filter_columns[] = {"lo_quantity", "lo_discount",
@@ -274,14 +255,44 @@ TEST_P(EngineFuzzTest, ExecutorMatchesBruteForce) {
     query.joins.push_back(join);
   }
 
+  const QueryResult expected = Expected(query);
   Result<QueryResult> result =
       Executor::Run(query, 1 + rng.NextBounded(4));
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.value(), BruteForce(query)) << "seed " << seed;
+  EXPECT_EQ(result.value(), expected) << "seed " << seed;
+
+  for (const bool gpu_plan : {false, true}) {
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      for (const bool faults : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "seed " << seed << (gpu_plan ? " gpu" : " cpu")
+                     << " plan, workers " << workers
+                     << (faults ? ", transient faults" : ""));
+        ExecOptions options;
+        options.gpu_plan = gpu_plan;
+        options.workers = workers;
+        options.morsel_tuples = 2'000;
+        fault::FaultInjector injector(seed);
+        if (faults) {
+          // At this rate and the default three attempts, some GPU runs
+          // exhaust a chunk's retries and fall back to the CPU plan, so
+          // both rungs of the ladder are fuzzed.
+          fault::FaultSpec spec;
+          spec.probability = 0.2;
+          injector.Arm(fault::kTransferChunk, spec);
+          options.injector = &injector;
+          options.chunk_bytes = 8 * 1024;
+        }
+        Result<ExecReport> report = Executor::RunResilient(query, options);
+        ASSERT_TRUE(report.ok()) << report.status();
+        EXPECT_EQ(report.value().result, expected);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzzTest,
-                         ::testing::Range<std::uint64_t>(1, 25));
+                         ::testing::Range<std::uint64_t>(1, kWrapSeed + 1));
 
 }  // namespace
 }  // namespace pump::engine

@@ -9,7 +9,6 @@
 #include <memory>
 #include <numeric>
 #include <random>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "hw/topology.h"
 #include "obs/metrics.h"
 #include "ops/scan.h"
+#include "perfbench/oracle.h"
 #include "plan/build_cache.h"
 #include "plan/compiler.h"
 #include "server/query_engine.h"
@@ -810,41 +810,6 @@ struct StarFixture {
   std::vector<engine::QueryResult> expected;
 };
 
-/// Brute force: qualifying dimension keys into std::sets, then every fact
-/// row through every join in turn.
-engine::QueryResult StarOracle(const engine::Query& query) {
-  std::vector<std::set<std::int64_t>> members;
-  std::vector<const std::vector<std::int64_t>*> fact_keys;
-  for (const engine::JoinClause& join : query.joins) {
-    const std::vector<std::int64_t>& keys =
-        *join.dimension->Column(join.dim_key_column).value();
-    const std::vector<std::int64_t>& attr =
-        *join.dimension->Column(join.dim_filter.column).value();
-    std::set<std::int64_t> qualifying;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (ops::Compare(join.dim_filter.op, attr[i], join.dim_filter.literal)) {
-        qualifying.insert(keys[i]);
-      }
-    }
-    members.push_back(std::move(qualifying));
-    fact_keys.push_back(query.fact->Column(join.fact_key_column).value());
-  }
-  const std::vector<std::int64_t>& measure =
-      *query.fact->Column(query.measure_column).value();
-  engine::QueryResult result;
-  for (std::size_t row = 0; row < measure.size(); ++row) {
-    bool keep = true;
-    for (std::size_t j = 0; j < members.size() && keep; ++j) {
-      keep = members[j].count((*fact_keys[j])[row]) == 1;
-    }
-    if (keep) {
-      ++result.rows;
-      result.sum += measure[row];
-    }
-  }
-  return result;
-}
-
 const StarFixture& Star() {
   static const StarFixture* fixture = [] {
     auto* f = new StarFixture();
@@ -886,6 +851,7 @@ const StarFixture& Star() {
     EXPECT_TRUE(f->fact.AddColumn("sparse_fk", std::move(sparse_fk)).ok());
     EXPECT_TRUE(f->fact.AddColumn("m", std::move(measure)).ok());
 
+    perfbench::Oracle oracle;
     for (const std::int64_t literal : {25, 50, 75}) {
       engine::Query query;
       query.fact = &f->fact;
@@ -896,7 +862,7 @@ const StarFixture& Star() {
       query.joins.push_back(engine::JoinClause{
           "sparse_fk", &f->sparse_dim, "pk",
           engine::Filter{"attr", ops::CompareOp::kNe, 3}, true});
-      f->expected.push_back(StarOracle(query));
+      f->expected.push_back(oracle.Evaluate(query).value());
       f->queries.push_back(std::move(query));
     }
     return f;
@@ -1047,9 +1013,10 @@ TEST(QueryEngineTest, ConcurrentFirstSubmitsShareOneKeyRangeScan) {
   }
   for (std::thread& submitter : submitters) submitter.join();
   EXPECT_EQ(scans.value() - before, 1u);
+  perfbench::Oracle oracle;
   for (std::size_t t = 0; t < kSubmitters; ++t) {
     ASSERT_TRUE(reports[t].ok()) << reports[t].status();
-    EXPECT_EQ(reports[t].value().result, StarOracle(queries[t]))
+    EXPECT_EQ(reports[t].value().result, oracle.Evaluate(queries[t]).value())
         << "variant " << t;
   }
 }
